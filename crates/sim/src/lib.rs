@@ -45,7 +45,6 @@ mod sampler;
 pub mod service;
 mod stream;
 mod timeline;
-mod view;
 
 pub use circuit::{memory_circuit, Circuit, Detector, Instruction, MemoryCircuit};
 pub use fit::LogicalRateModel;
@@ -63,11 +62,9 @@ pub use service::{
     Availability, DecodeSession, DeformationNotice, SessionConfig, SessionError, SessionOutput,
 };
 pub use stream::{
-    RoundSlice, RoundStream, SparseRoundStream, WideRoundSlice, WideRoundStream,
-    WideSparseRoundStream,
+    RoundSlice, RoundStream, SparseRoundStream, WideRoundStream, WideSparseRoundStream,
 };
 pub use timeline::{DetectorRemap, TimelineModel};
-pub use view::ModelView;
 
 // Re-exported so downstream pipeline code can name the shared batch and
 // decoder abstractions without extra dependency lines.

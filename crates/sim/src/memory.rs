@@ -20,7 +20,7 @@ use surf_pauli::{BitBatch, WideBatch};
 
 use crate::model::{DecoderPrior, DetectorModel};
 use crate::noise::{NoiseParams, QubitNoise};
-use crate::service::SessionConfig;
+use crate::service::{DecodeSession, SessionConfig};
 
 /// Which decoder backend to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,12 +64,13 @@ impl DecoderKind {
 /// batch `N·slot + j` in exactly the draw order and count of a standalone
 /// 64-lane batch, so a 256-lane pass is bit-identical to the four 64-lane
 /// batches it replaces — widths differ only in how many streams advance
-/// per pass, never in what any stream produces. [`LaneWidth::X64`] routes
-/// to the scalar path and is the bit-exact oracle for the wide ones.
+/// per pass, never in what any stream produces. Every width runs the same
+/// width-generic loop; the sampler's wide/64-lane parity tests are the
+/// bit-exact oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
-    /// 64 shots per pass — one `u64` word per detector row (the original
-    /// [`BitBatch`] layout, and the oracle the wide widths must match).
+    /// 64 shots per pass — one `u64` word per detector row (the
+    /// [`BitBatch`] layout).
     #[default]
     X64,
     /// 256 shots per pass — `[u64; 4]` words per row.
@@ -429,9 +430,6 @@ impl MemoryExperiment {
 
     /// [`run_basis_shard`](Self::run_basis_shard) at an explicit
     /// [`LaneWidth`]: the width dispatch point of the whole-history path.
-    /// [`LaneWidth::X64`] routes to the original scalar-word
-    /// implementation (the oracle); the wide widths run the const-generic
-    /// [`WideBatch`] pipeline.
     pub fn run_basis_wide_shard(
         &self,
         memory_basis: Basis,
@@ -440,31 +438,27 @@ impl MemoryExperiment {
         width: LaneWidth,
         shard: Shard,
     ) -> u64 {
+        let threads = available_threads(shots);
         match width {
-            LaneWidth::X64 => self.run_basis_shard(memory_basis, shots, seed, shard),
-            LaneWidth::X256 => self.run_basis_impl_wide::<4>(
-                memory_basis,
-                shots,
-                seed,
-                available_threads(shots),
-                shard,
-            ),
-            LaneWidth::X512 => self.run_basis_impl_wide::<8>(
-                memory_basis,
-                shots,
-                seed,
-                available_threads(shots),
-                shard,
-            ),
+            LaneWidth::X64 => {
+                self.run_basis_impl_wide::<1>(memory_basis, shots, seed, threads, shard)
+            }
+            LaneWidth::X256 => {
+                self.run_basis_impl_wide::<4>(memory_basis, shots, seed, threads, shard)
+            }
+            LaneWidth::X512 => {
+                self.run_basis_impl_wide::<8>(memory_basis, shots, seed, threads, shard)
+            }
         }
     }
 
-    /// The width-`N` twin of [`run_basis_impl`](Self::run_basis_impl):
-    /// samples [`WideBatch`]es through
+    /// The whole-history run loop at width `N`: each worker samples
+    /// [`WideBatch`]es through
     /// [`sample_wide_into`](crate::BatchSampler::sample_wide_into), decodes
-    /// them sub-word-at-a-time through
-    /// [`decode_wide_batch_with`] (one cached [`DecodeWorkspace`] per
-    /// worker), and counts mismatches word-wise per sub-word.
+    /// them sub-word-at-a-time through [`decode_wide_batch_with`] (one
+    /// cached [`DecodeWorkspace`] per worker), and counts
+    /// prediction/observable mismatches word-wise per sub-word. `N = 1` is
+    /// the 64-lane run.
     fn run_basis_impl_wide<const N: usize>(
         &self,
         memory_basis: Basis,
@@ -495,11 +489,10 @@ impl MemoryExperiment {
     /// Runs one basis and returns the failure count.
     ///
     /// Shots are processed in 64-lane bit-packed batches: each worker
-    /// thread samples a [`BitBatch`] through the model's
+    /// thread samples a batch through the model's
     /// [`BatchSampler`](crate::BatchSampler), decodes it through the shared
-    /// [`Decoder`] trait object (whose `decode_batch` reuses its scratch
-    /// across the batch), and counts prediction/observable mismatches
-    /// word-at-a-time.
+    /// [`Decoder`] trait object, and counts prediction/observable
+    /// mismatches word-at-a-time.
     ///
     /// Every batch draws its RNG from a SplitMix64 stream indexed by the
     /// *batch number*, not the worker thread, so the returned count is
@@ -513,7 +506,7 @@ impl MemoryExperiment {
     /// [`run_basis`](Self::run_basis) restricted to the batches owned by
     /// `shard` (see [`run_shard`](Self::run_shard)).
     pub fn run_basis_shard(&self, memory_basis: Basis, shots: u64, seed: u64, shard: Shard) -> u64 {
-        self.run_basis_impl(memory_basis, shots, seed, available_threads(shots), shard)
+        self.run_basis_wide_shard(memory_basis, shots, seed, LaneWidth::X64, shard)
     }
 
     /// [`run_basis`](Self::run_basis) with an explicit worker-thread
@@ -525,33 +518,7 @@ impl MemoryExperiment {
         seed: u64,
         threads: usize,
     ) -> u64 {
-        self.run_basis_impl(memory_basis, shots, seed, threads, Shard::solo())
-    }
-
-    fn run_basis_impl(
-        &self,
-        memory_basis: Basis,
-        shots: u64,
-        seed: u64,
-        threads: usize,
-        shard: Shard,
-    ) -> u64 {
-        let noise = QubitNoise::new(self.noise, self.kept_defects.clone());
-        let model =
-            DetectorModel::build(&self.patch, memory_basis, self.rounds, &noise, self.prior);
-        let decoder = self.decoder.build(model.graph.clone());
-        run_batches_shard(shots, seed, threads, shard, || {
-            let sampler = model.batch_sampler();
-            let decoder = decoder.as_ref();
-            let mut batch = BitBatch::zeros(model.num_detectors);
-            let mut predictions = Vec::with_capacity(BitBatch::LANES);
-            move |rng: &mut StdRng, lanes: usize| {
-                batch.set_lanes(lanes);
-                let true_obs = sampler.sample_into(rng, &mut batch);
-                decoder.decode_batch(&batch, &mut predictions);
-                count_failures(&predictions, true_obs, batch.lane_mask())
-            }
-        })
+        self.run_basis_impl_wide::<1>(memory_basis, shots, seed, threads, Shard::solo())
     }
 
     /// The [`SessionConfig`] this experiment streams under: its patch at
@@ -588,8 +555,7 @@ impl MemoryExperiment {
     }
 
     /// Runs one basis through the streaming pipeline and returns the
-    /// failure count: the single convergent loop behind every streamed
-    /// experiment.
+    /// failure count.
     ///
     /// The experiment (or the pinned timeline's epochs) compiles once
     /// into a [`SessionConfig`]; each worker thread
@@ -607,77 +573,12 @@ impl MemoryExperiment {
     /// `window >= 2·d` it remains bit-identical at realistic noise (the
     /// equivalence suite in `tests/streaming_equivalence.rs` proves both).
     ///
-    /// With [`StreamConfig::with_sparse`] set, rounds are sampled as sparse
+    /// With [`StreamConfig::with_sparse`] set, rounds are fed as sparse
     /// events, silent stretches are bulk-advanced, and defect-free
     /// windows fast-forward past the decoder backend — the count stays
     /// bit-identical to the dense path (`tests/sparse_streaming.rs`).
     pub fn run_stream_basis(&self, memory_basis: Basis, config: &StreamConfig) -> u64 {
-        let threads = if config.threads == 0 {
-            available_threads(config.shots)
-        } else {
-            config.threads
-        };
-        let mut session_config = self.session_config(memory_basis);
-        if config.timeline_pinned {
-            session_config.timeline = config.session.timeline.clone();
-        }
-        session_config.window = config.session.window;
-        session_config.schedule = config.session.schedule.clone();
-        session_config.sparse = config.session.sparse;
-        let proto = session_config.open(1);
-        if config.session.sparse {
-            return run_batches_shard(config.shots, config.seed, threads, config.shard, || {
-                let proto = &proto;
-                let mut stream = proto.sparse_round_stream();
-                move |rng: &mut StdRng, lanes: usize| {
-                    stream.begin(rng, lanes);
-                    let mut session = proto.fork(lanes);
-                    while let Some(event) = stream.next_event() {
-                        while session.filled_rounds() < event.round {
-                            let gap = event.round - session.filled_rounds();
-                            session
-                                .advance_silent(gap)
-                                .expect("silent gap fits the stream");
-                        }
-                        session
-                            .push_round_sparse(event.detectors, event.words)
-                            .expect("event matches its own session layout");
-                    }
-                    let total = session.total_rounds();
-                    while session.filled_rounds() < total {
-                        let gap = total - session.filled_rounds();
-                        session
-                            .advance_silent(gap)
-                            .expect("silent tail fits the stream");
-                    }
-                    let predictions = session.finish().expect("all rounds pushed");
-                    count_failures(
-                        &predictions,
-                        stream.true_observables(),
-                        BitBatch::mask_for(lanes),
-                    )
-                }
-            });
-        }
-        run_batches_shard(config.shots, config.seed, threads, config.shard, || {
-            let proto = &proto;
-            let mut stream = proto.round_stream();
-            move |rng: &mut StdRng, lanes: usize| {
-                stream.begin(rng, lanes);
-                let mut session = proto.fork(lanes);
-                while let Some(slice) = stream.next_round() {
-                    session
-                        .push_round(slice.words)
-                        .expect("round stream matches its own session layout");
-                }
-                let predictions = session.finish().expect("all rounds pushed");
-                count_failures(
-                    &predictions,
-                    stream.true_observables(),
-                    BitBatch::mask_for(lanes),
-                )
-            }
-        })
+        self.run_stream_basis_wide(memory_basis, config, LaneWidth::X64)
     }
 
     /// [`run_stream`](Self::run_stream) at an explicit [`LaneWidth`]:
@@ -698,15 +599,6 @@ impl MemoryExperiment {
 
     /// [`run_stream_basis`](Self::run_stream_basis) at an explicit
     /// [`LaneWidth`]: the width dispatch point of the streaming path.
-    ///
-    /// Wide widths sample rounds through a
-    /// [`WideRoundStream`](crate::WideRoundStream) (or its sparse twin)
-    /// and *stripe* the decode: each base-width sub-word feeds its own
-    /// forked [`DecodeSession`](crate::DecodeSession), so sampling and
-    /// frame propagation run `width.words()` words wide while the
-    /// windowed decoder consumes the same 64-lane batches it always has.
-    /// Failure counts stay a pure function of `(shots, seed, shard)` —
-    /// width never changes them.
     pub fn run_stream_basis_wide(
         &self,
         memory_basis: Basis,
@@ -714,12 +606,18 @@ impl MemoryExperiment {
         width: LaneWidth,
     ) -> u64 {
         match width {
-            LaneWidth::X64 => self.run_stream_basis(memory_basis, config),
+            LaneWidth::X64 => self.run_stream_basis_wide_impl::<1>(memory_basis, config),
             LaneWidth::X256 => self.run_stream_basis_wide_impl::<4>(memory_basis, config),
             LaneWidth::X512 => self.run_stream_basis_wide_impl::<8>(memory_basis, config),
         }
     }
 
+    /// The streaming run loop at width `N`. Each pass samples rounds
+    /// through one [`WideRoundStream`](crate::WideRoundStream) and
+    /// *stripes* the decode: each 64-lane sub-word feeds its own forked
+    /// [`DecodeSession`](crate::DecodeSession), so sampling runs `N` words
+    /// wide while the windowed decoder consumes the same 64-lane batches
+    /// it always has. `N = 1` is the 64-lane run.
     fn run_stream_basis_wide_impl<const N: usize>(
         &self,
         memory_basis: Basis,
@@ -737,94 +635,58 @@ impl MemoryExperiment {
         session_config.window = config.session.window;
         session_config.schedule = config.session.schedule.clone();
         session_config.sparse = config.session.sparse;
+        let sparse = session_config.sparse;
         let proto = session_config.open(1);
-        // Lanes carried by sub-word `j` of a `lanes`-lane pass.
-        let sub_lanes = |lanes: usize, j: usize| {
-            lanes
-                .saturating_sub(j * BitBatch::LANES)
-                .min(BitBatch::LANES)
-        };
-        if config.session.sparse {
-            return run_batches_shard_wide::<N, _, _>(
-                config.shots,
-                config.seed,
-                threads,
-                config.shard,
-                || {
-                    let proto = &proto;
-                    let mut stream = proto.wide_sparse_round_stream::<N>();
-                    move |rngs: &mut [StdRng; N], lanes: usize| {
-                        stream.begin(rngs, lanes);
-                        let mut sessions: Vec<_> = (0..stream.active_words())
-                            .map(|j| proto.fork(sub_lanes(lanes, j)))
-                            .collect();
-                        while let Some(event) = stream.next_event() {
-                            for (j, session) in sessions.iter_mut().enumerate() {
-                                while session.filled_rounds() < event.round {
-                                    let gap = event.round - session.filled_rounds();
-                                    session
-                                        .advance_silent(gap)
-                                        .expect("silent gap fits the stream");
-                                }
-                                // A sub-word with no activity this event
-                                // pushes zero words: push_round_sparse
-                                // leaves its windows clean, so the decode
-                                // matches the sub-word's own sparse run.
-                                session
-                                    .push_round_sparse(event.detectors, event.words_of(j))
-                                    .expect("event matches its own session layout");
-                            }
-                        }
-                        let true_obs = stream.true_observables();
-                        let mut failures = 0;
-                        for (j, mut session) in sessions.into_iter().enumerate() {
-                            let total = session.total_rounds();
-                            while session.filled_rounds() < total {
-                                let gap = total - session.filled_rounds();
-                                session
-                                    .advance_silent(gap)
-                                    .expect("silent tail fits the stream");
-                            }
-                            let predictions = session.finish().expect("all rounds pushed");
-                            failures += count_failures(
-                                &predictions,
-                                true_obs[j],
-                                BitBatch::mask_for(sub_lanes(lanes, j)),
-                            );
-                        }
-                        failures
-                    }
-                },
-            );
-        }
         run_batches_shard_wide::<N, _, _>(config.shots, config.seed, threads, config.shard, || {
             let proto = &proto;
             let mut stream = proto.wide_round_stream::<N>();
+            let mut predictions = Vec::with_capacity(WideBatch::<N>::LANES);
             move |rngs: &mut [StdRng; N], lanes: usize| {
-                stream.begin(rngs, lanes);
-                let mut sessions: Vec<_> = (0..stream.active_words())
-                    .map(|j| proto.fork(sub_lanes(lanes, j)))
+                stream.begin_wide(rngs, lanes);
+                let masks = WideBatch::<N>::masks_for(lanes);
+                let mut sessions: Vec<_> = masks[..stream.active_words()]
+                    .iter()
+                    .map(|mask| proto.fork(mask.count_ones() as usize))
                     .collect();
-                while let Some(slice) = stream.next_round() {
-                    for (j, session) in sessions.iter_mut().enumerate() {
-                        session
-                            .push_round(slice.words_of(j))
-                            .expect("round stream matches its own session layout");
+                if sparse {
+                    while let Some(event) = stream.next_event() {
+                        for (j, session) in sessions.iter_mut().enumerate() {
+                            advance_to(session, event.round);
+                            // A sub-word silent in this event pushes zero
+                            // words, which leave its windows clean.
+                            session
+                                .push_round_sparse(event.detectors, event.words_of(j))
+                                .expect("event matches its own session layout");
+                        }
+                    }
+                } else {
+                    while let Some(slice) = stream.next_round() {
+                        for (j, session) in sessions.iter_mut().enumerate() {
+                            session
+                                .push_round(slice.words_of(j))
+                                .expect("round stream matches its own session layout");
+                        }
                     }
                 }
-                let true_obs = stream.true_observables();
-                let mut failures = 0;
-                for (j, session) in sessions.into_iter().enumerate() {
-                    let predictions = session.finish().expect("all rounds pushed");
-                    failures += count_failures(
-                        &predictions,
-                        true_obs[j],
-                        BitBatch::mask_for(sub_lanes(lanes, j)),
-                    );
+                predictions.clear();
+                for mut session in sessions {
+                    let total = session.total_rounds();
+                    advance_to(&mut session, total);
+                    predictions.extend(session.finish().expect("all rounds pushed"));
                 }
-                failures
+                count_failures_wide::<N>(&predictions, &stream.true_observables_wide(), &masks)
             }
         })
+    }
+}
+
+/// Feeds `session` silent rounds up to (not including) `round`.
+fn advance_to(session: &mut DecodeSession, round: u32) {
+    while session.filled_rounds() < round {
+        let gap = round - session.filled_rounds();
+        session
+            .advance_silent(gap)
+            .expect("silent gap fits the stream");
     }
 }
 
@@ -836,75 +698,11 @@ fn available_threads(shots: u64) -> usize {
         .min(shots.max(1) as usize)
 }
 
-/// Packs per-lane predictions into a word and counts mismatches against
-/// the true observable word.
-fn count_failures(predictions: &[u64], true_obs: u64, mask: u64) -> u64 {
-    let mut predicted = 0u64;
-    for (lane, &p) in predictions.iter().enumerate() {
-        predicted |= (p & 1) << lane;
-    }
-    u64::from(((predicted ^ true_obs) & mask).count_ones())
-}
-
-/// Runs the `shard`-owned 64-lane batches of a `shots`-shot run spread
-/// over `threads` workers.
-///
-/// Workers pull *global batch indices* from a shared counter (stepping by
-/// `shard.count` from `shard.index`) and seed each batch's RNG from the
-/// SplitMix64 stream at that global index, so the failure count is a pure
-/// function of `(shots, seed, shard)` — the thread count only changes
-/// wall-clock time, and summing all shards reproduces the single-host
-/// count exactly. `setup` runs once per worker and returns the per-batch
-/// closure (sample + decode + count), letting each worker keep its own
-/// sampler/scratch state.
-fn run_batches_shard<S, F>(shots: u64, seed: u64, threads: usize, shard: Shard, setup: S) -> u64
-where
-    S: Fn() -> F + Sync,
-    F: FnMut(&mut StdRng, usize) -> u64,
-{
-    if shots == 0 {
-        return 0;
-    }
-    let num_batches = shots.div_ceil(BitBatch::LANES as u64);
-    let owned_batches = num_batches
-        .saturating_sub(shard.index)
-        .div_ceil(shard.count);
-    if owned_batches == 0 {
-        return 0;
-    }
-    let threads = threads.clamp(1, owned_batches.min(1 << 16) as usize);
-    let next_batch = std::sync::atomic::AtomicU64::new(0);
-    let counter = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next_batch = &next_batch;
-            let counter = &counter;
-            let setup = &setup;
-            scope.spawn(move || {
-                let mut run_batch = setup();
-                let mut local = 0u64;
-                loop {
-                    let slot = next_batch.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let index = shard.index + slot * shard.count;
-                    if index >= num_batches {
-                        break;
-                    }
-                    let first_shot = index * BitBatch::LANES as u64;
-                    let lanes = (shots - first_shot).min(BitBatch::LANES as u64) as usize;
-                    let mut rng = StdRng::seed_from_u64(splitmix64_stream(seed, index));
-                    local += run_batch(&mut rng, lanes);
-                }
-                counter.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    });
-    counter.into_inner()
-}
-
-/// The width-`N` twin of [`count_failures`]: `predictions[j·64..]` holds
-/// sub-word `j`'s per-lane predictions (lane order preserved across
-/// sub-words, exactly as [`decode_wide_batch_with`] emits them), matched
-/// against that sub-word's true-observable and lane-mask words.
+/// Packs per-lane predictions into words and counts mismatches against
+/// the true observable words: `predictions[j·64..]` holds sub-word `j`'s
+/// per-lane predictions (lane order preserved across sub-words, exactly
+/// as [`decode_wide_batch_with`] emits them), matched against that
+/// sub-word's true-observable and lane-mask words.
 fn count_failures_wide<const N: usize>(
     predictions: &[u64],
     true_obs: &[u64; N],
@@ -925,8 +723,16 @@ fn count_failures_wide<const N: usize>(
     failures
 }
 
-/// The width-`N` twin of [`run_batches_shard`]: groups `N` consecutive
-/// *shard-owned* base batches into one wide pass.
+/// Runs the `shard`-owned 64-lane batches of a `shots`-shot run spread
+/// over `threads` workers, `N` consecutive owned batches per pass.
+///
+/// Workers pull pass slots from a shared counter, and every 64-lane batch
+/// seeds its RNG from the SplitMix64 stream at its *global* batch index,
+/// so the failure count is a pure function of `(shots, seed, shard)` —
+/// the thread count and `N` only change wall-clock time, and summing all
+/// shards reproduces the single-host count exactly. `setup` runs once per
+/// worker and returns the per-pass closure (sample + decode + count),
+/// letting each worker keep its own sampler/scratch state.
 ///
 /// Sub-word `j` of slot `s` is owned batch `s·N + j`, whose global index
 /// is `shard.index + (s·N + j)·shard.count` — each sub-word draws from

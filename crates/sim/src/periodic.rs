@@ -737,30 +737,10 @@ impl PeriodicModel {
         &self.epoch_starts
     }
 
-    /// Real rounds where the geometry deforms (epoch starts after 0).
-    pub fn deformation_rounds(&self) -> Vec<u32> {
-        self.epoch_starts
-            .iter()
-            .copied()
-            .filter(|&r| r > 0)
-            .collect()
-    }
-
     /// Expected fired channels per round over the whole horizon — the
     /// event-rate that drives sparse-streaming shot budgets.
     pub fn expected_fires_per_round(&self) -> f64 {
         self.expected_fires_per_round
-    }
-
-    /// Bitmask of logical observables some channel can flip (bit 0 = the
-    /// memory observable).
-    pub(crate) fn periodic_observable_support(&self) -> u64 {
-        let lits = self.lits.iter().any(|c| c.observable);
-        let runs = self
-            .runs
-            .iter()
-            .any(|r| r.chans.iter().any(|c| c.observable));
-        u64::from(lits || runs)
     }
 
     fn shift_before(&self, w: u32) -> u32 {
@@ -866,28 +846,6 @@ impl PeriodicModel {
             dets.clear();
             let (round, obs, p_true, p_prior) = self.resolve(i, j, &mut dets);
             f(round, &dets, obs, p_true, p_prior);
-        }
-    }
-
-    /// Materialises the channels of one real round, in emission order
-    /// relative to each other (the [`ModelView`](crate::ModelView) seam).
-    pub fn channels_for_round(&self, round: u32, out: &mut Vec<Channel>) {
-        let (c, j) = self.map.to_comp(round);
-        if c as usize + 1 >= self.chan_bucket_start.len() {
-            return;
-        }
-        let mut dets = Vec::new();
-        for &i in self.chan_bucket(c) {
-            dets.clear();
-            let (r, obs, p_true, p_prior) = self.resolve(i, j, &mut dets);
-            debug_assert_eq!(r, round);
-            out.push(Channel {
-                detectors: dets.iter().map(|&d| d as usize).collect(),
-                observable: obs,
-                p_true,
-                p_prior,
-                round: r,
-            });
         }
     }
 

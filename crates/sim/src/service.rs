@@ -43,7 +43,7 @@ use crate::memory::DecoderKind;
 use crate::model::DecoderPrior;
 use crate::noise::NoiseParams;
 use crate::periodic::PeriodicModel;
-use crate::stream::RoundStream;
+use crate::stream::{RoundSource, RoundStream, WideRoundStream};
 use crate::timeline::TimelineModel;
 
 /// Everything needed to compile a decode session: the geometry timeline,
@@ -265,32 +265,17 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// The compiled detector model behind a session family: either the
-/// monolithic whole-horizon [`TimelineModel`] with its O(rounds) round
-/// tables, or a horizon-compressed [`PeriodicModel`] template served by
-/// index arithmetic — O(epochs) resident regardless of the horizon.
-enum SessionModel {
-    Mono {
-        tm: Box<TimelineModel>,
-        /// Detector ids sorted by round (ascending ids within a round —
-        /// the same canonical order [`RoundStream`] emits).
-        order: Vec<u32>,
-        /// Round `r` owns `order[round_start[r]..round_start[r + 1]]`.
-        round_start: Vec<usize>,
-    },
-    Periodic(Arc<PeriodicModel>),
-}
-
-/// The compiled, immutable heart of a session family: the detector model
-/// (monolithic or periodic), the shared windowed decoder and the epoch
-/// boundaries. Shared by every [`fork`](DecodeSession::fork) through an
-/// [`Arc`]. Per-round data (detector layouts, availability) is served on
-/// demand so nothing here scales with the horizon on the periodic path.
+/// The compiled, immutable heart of a session family: the model's round
+/// layout and sampler (monolithic, or a horizon-compressed
+/// [`PeriodicModel`] template served by index arithmetic), the shared
+/// windowed decoder and the epoch boundaries. Shared by every
+/// [`fork`](DecodeSession::fork) and every stream a session hands out
+/// through an [`Arc`]. Nothing here scales with the horizon on the
+/// periodic path.
 struct SessionShared {
     config: SessionConfig,
-    model: SessionModel,
+    source: RoundSource,
     decoder: Arc<WindowedDecoder>,
-    total_rounds: u32,
     /// Real rounds where each geometry epoch begins (`epoch_starts[0] == 0`).
     epoch_starts: Vec<u32>,
 }
@@ -313,14 +298,11 @@ impl SessionShared {
                     config.window,
                     config.decoder.factory(),
                 ));
-                let total_rounds = RoundModelSource::total_rounds(&*pm);
-                let epoch_starts = pm.epoch_starts().to_vec();
                 return SessionShared {
                     config,
-                    model: SessionModel::Periodic(pm),
+                    epoch_starts: pm.epoch_starts().to_vec(),
+                    source: RoundSource::Periodic(pm),
                     decoder,
-                    total_rounds,
-                    epoch_starts,
                 };
             }
         }
@@ -344,80 +326,16 @@ impl SessionShared {
             config.window,
             config.decoder.factory(),
         ));
-        let total_rounds = tm
-            .model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        let mut order: Vec<u32> = (0..tm.model.num_detectors as u32).collect();
-        order.sort_by_key(|&d| tm.model.detector_rounds[d as usize]);
-        let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-        round_start.push(0usize);
-        for r in 0..total_rounds {
-            let prev = *round_start.last().unwrap();
-            let len = order[prev..]
-                .iter()
-                .take_while(|&&d| tm.model.detector_rounds[d as usize] == r)
-                .count();
-            round_start.push(prev + len);
-        }
-        let epoch_starts = tm.epoch_starts.clone();
         SessionShared {
             config,
-            model: SessionModel::Mono {
-                tm: Box::new(tm),
-                order,
-                round_start,
-            },
+            source: RoundSource::of_model(&tm.model),
             decoder,
-            total_rounds,
-            epoch_starts,
+            epoch_starts: tm.epoch_starts,
         }
     }
 
-    fn detectors_of(&self, round: u32) -> Cow<'_, [u32]> {
-        match &self.model {
-            SessionModel::Mono {
-                order, round_start, ..
-            } => {
-                let span = round_start[round as usize]..round_start[round as usize + 1];
-                Cow::Borrowed(&order[span])
-            }
-            SessionModel::Periodic(pm) => {
-                let mut out = Vec::new();
-                RoundModelSource::detectors_in(&**pm, round..round + 1, &mut out);
-                Cow::Owned(out)
-            }
-        }
-    }
-
-    /// Number of detectors in `round` — O(1), allocation-free on both
-    /// model paths.
-    fn detector_count_of(&self, round: u32) -> usize {
-        match &self.model {
-            SessionModel::Mono { round_start, .. } => {
-                round_start[round as usize + 1] - round_start[round as usize]
-            }
-            SessionModel::Periodic(pm) => pm.detector_count_in_round(round),
-        }
-    }
-
-    fn num_detectors(&self) -> usize {
-        match &self.model {
-            SessionModel::Mono { tm, .. } => tm.model.num_detectors,
-            SessionModel::Periodic(pm) => pm.num_detectors(),
-        }
-    }
-
-    /// The round `det` belongs to. `det` must be below
-    /// [`num_detectors`](Self::num_detectors).
-    fn detector_round(&self, det: u32) -> u32 {
-        match &self.model {
-            SessionModel::Mono { tm, .. } => tm.model.detector_rounds[det as usize],
-            SessionModel::Periodic(pm) => RoundModelSource::detector_round(&**pm, det),
-        }
+    fn total_rounds(&self) -> u32 {
+        self.source.total_rounds()
     }
 
     /// The epoch beginning exactly at `round`, if any (epoch 0 "begins"
@@ -477,6 +395,8 @@ pub struct DecodeSession {
     /// Pushed rounds, kept for replay on
     /// [`inject_event`](Self::inject_event)/[`replan`](Self::replan).
     history: Vec<RoundRecord>,
+    /// Reused round-layout buffer (filled on the periodic path only).
+    layout: Vec<u32>,
 }
 
 impl DecodeSession {
@@ -486,6 +406,7 @@ impl DecodeSession {
             shared,
             inner,
             history: Vec::new(),
+            layout: Vec::new(),
         }
     }
 
@@ -513,7 +434,7 @@ impl DecodeSession {
 
     /// Total rounds the stream spans (noisy rounds plus readout).
     pub fn total_rounds(&self) -> u32 {
-        self.shared.total_rounds
+        self.shared.total_rounds()
     }
 
     /// Corrections are final for rounds `0..committed_through()`.
@@ -528,13 +449,20 @@ impl DecodeSession {
     /// Borrowed from the precomputed tables on the monolithic path;
     /// computed on demand (owned) on the periodic path.
     pub fn detectors_of(&self, round: u32) -> Cow<'_, [u32]> {
-        self.shared.detectors_of(round)
+        match &self.shared.source {
+            RoundSource::Mono(m) => Cow::Borrowed(m.round(round)),
+            RoundSource::Periodic(_) => {
+                let mut buf = Vec::new();
+                self.shared.source.detectors(round, &mut buf);
+                Cow::Owned(buf)
+            }
+        }
     }
 
     /// Number of detectors in `round` — O(1) and allocation-free on both
     /// model paths (the daemon builds 10⁶-entry layout tables from this).
     pub fn detector_count_of(&self, round: u32) -> usize {
-        self.shared.detector_count_of(round)
+        self.shared.source.detector_count(round)
     }
 
     /// Health state at the most recently pushed round.
@@ -549,56 +477,32 @@ impl DecodeSession {
     }
 
     /// A round-major sampler over this session's compiled model — the
-    /// Monte-Carlo stand-in for a hardware syndrome link, emitting
-    /// detector words in exactly the order
-    /// [`push_round`](Self::push_round) expects.
+    /// Monte-Carlo stand-in for a hardware syndrome link. Its
+    /// [`next_round`](WideRoundStream::next_round) emits detector words in
+    /// exactly the order [`push_round`](Self::push_round) expects; its
+    /// [`next_event`](WideRoundStream::next_event) emits only the firing
+    /// rounds, for [`push_round_sparse`](Self::push_round_sparse) and
+    /// [`advance_silent`](Self::advance_silent). The stream shares the
+    /// session's compiled sampler and round layout, so building one is
+    /// cheap.
     pub fn round_stream(&self) -> RoundStream {
-        match &self.shared.model {
-            SessionModel::Mono { tm, .. } => RoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => RoundStream::for_periodic(pm),
-        }
+        self.wide_round_stream()
     }
 
-    /// The event-driven twin of [`round_stream`](Self::round_stream):
-    /// emits only firing rounds (bit-identical syndromes at the same
-    /// seed), to be consumed with
-    /// [`push_round_sparse`](Self::push_round_sparse) and
-    /// [`advance_silent`](Self::advance_silent).
-    pub fn sparse_round_stream(&self) -> crate::stream::SparseRoundStream {
-        match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::SparseRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => {
-                crate::stream::SparseRoundStream::for_periodic(Arc::clone(pm))
-            }
-        }
+    /// The same stream as [`round_stream`](Self::round_stream), named for
+    /// its event-driven use.
+    pub fn sparse_round_stream(&self) -> RoundStream {
+        self.wide_round_stream()
     }
 
-    /// The width-`N` twin of [`round_stream`](Self::round_stream):
-    /// samples `N·64` shot lanes per pass and emits per-sub-word word
-    /// slices ([`WideRoundSlice::words_of`](crate::WideRoundSlice::words_of)),
-    /// each shaped exactly for one forked base-width session's
-    /// [`push_round`](Self::push_round).
-    pub fn wide_round_stream<const N: usize>(&self) -> crate::stream::WideRoundStream<N> {
-        match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::WideRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => crate::stream::WideRoundStream::for_periodic(pm),
-        }
-    }
-
-    /// The width-`N` twin of
-    /// [`sparse_round_stream`](Self::sparse_round_stream): events are the
-    /// union of firing rounds across sub-words, to be striped into `N`
-    /// forked sessions via
+    /// The width-`N` [`round_stream`](Self::round_stream): samples `N·64`
+    /// shot lanes per pass and emits per-sub-word words
+    /// ([`RoundSlice::words_of`](crate::RoundSlice::words_of)), each
+    /// shaped exactly for one forked 64-lane session's
+    /// [`push_round`](Self::push_round) or
     /// [`push_round_sparse`](Self::push_round_sparse).
-    pub fn wide_sparse_round_stream<const N: usize>(
-        &self,
-    ) -> crate::stream::WideSparseRoundStream<N> {
-        match &self.shared.model {
-            SessionModel::Mono { tm, .. } => crate::stream::WideSparseRoundStream::for_timeline(tm),
-            SessionModel::Periodic(pm) => {
-                crate::stream::WideSparseRoundStream::for_periodic(Arc::clone(pm))
-            }
-        }
+    pub fn wide_round_stream<const N: usize>(&self) -> WideRoundStream<N> {
+        WideRoundStream::over(self.shared.source.clone())
     }
 
     /// Consumes the next round's detector words (`words[i]` is the
@@ -608,10 +512,10 @@ impl DecodeSession {
     /// deformation notice.
     pub fn push_round(&mut self, words: &[u64]) -> Result<SessionOutput, SessionError> {
         let round = self.inner.filled_rounds();
-        if round >= self.shared.total_rounds {
+        if round >= self.shared.total_rounds() {
             return Err(SessionError::StreamComplete);
         }
-        let detectors = self.shared.detectors_of(round);
+        let detectors = self.shared.source.detectors(round, &mut self.layout);
         if words.len() != detectors.len() {
             return Err(SessionError::WordCount {
                 round,
@@ -619,7 +523,7 @@ impl DecodeSession {
                 got: words.len(),
             });
         }
-        self.inner.push_round(round, &detectors, words);
+        self.inner.push_round(round, detectors, words);
         if words.iter().all(|&w| w == 0) {
             self.record_silent(1);
         } else {
@@ -642,7 +546,7 @@ impl DecodeSession {
         words: &[u64],
     ) -> Result<SessionOutput, SessionError> {
         let round = self.inner.filled_rounds();
-        if round >= self.shared.total_rounds {
+        if round >= self.shared.total_rounds() {
             return Err(SessionError::StreamComplete);
         }
         if words.len() != detectors.len() {
@@ -653,9 +557,7 @@ impl DecodeSession {
             });
         }
         for &det in detectors {
-            if det as usize >= self.shared.num_detectors()
-                || self.shared.detector_round(det) != round
-            {
+            if self.shared.source.detector_round(det) != Some(round) {
                 return Err(SessionError::DetectorRound {
                     round,
                     detector: det,
@@ -692,7 +594,7 @@ impl DecodeSession {
     /// already full or `rounds == 0`.
     pub fn advance_silent(&mut self, rounds: u32) -> Result<SessionOutput, SessionError> {
         let filled = self.inner.filled_rounds();
-        let total = self.shared.total_rounds;
+        let total = self.shared.total_rounds();
         if rounds == 0 || filled >= total {
             return Err(SessionError::StreamComplete);
         }
@@ -777,42 +679,54 @@ impl DecodeSession {
     /// On any error the session is left untouched.
     ///
     /// Silent rounds replay as empty pushes and are compatible with any
-    /// layout; dense rounds require an unchanged detector count, sparse
-    /// rounds require every recorded detector to still belong to its
-    /// round.
+    /// layout. Dense and sparse rounds require an unchanged detector
+    /// count. Sparse records name global detector ids, which a timeline
+    /// gaining a future epoch may renumber, so each id replays at its
+    /// position in the round's new layout.
     fn recompile(&mut self, config: SessionConfig) -> Result<(), SessionError> {
         let shared = Arc::new(SessionShared::compile(config));
+        let (old, new) = (&self.shared.source, &shared.source);
+        let (mut old_buf, mut new_buf) = (Vec::new(), Vec::new());
+        let mut renamed: Vec<Vec<u32>> = Vec::new();
         let mut round: u32 = 0;
         for record in &self.history {
-            match record {
-                RoundRecord::Dense(words) => {
-                    if words.len() != shared.detector_count_of(round) {
-                        return Err(SessionError::GeometryDiverged { round });
-                    }
-                    round += 1;
+            let pushed = match record {
+                RoundRecord::Silent(n) => {
+                    round += n;
+                    continue;
                 }
-                RoundRecord::Sparse { detectors, .. } => {
-                    for &det in detectors {
-                        if det as usize >= shared.num_detectors()
-                            || shared.detector_round(det) != round
-                        {
-                            return Err(SessionError::GeometryDiverged { round });
-                        }
-                    }
-                    round += 1;
-                }
-                RoundRecord::Silent(n) => round += n,
+                RoundRecord::Dense(words) => words.len(),
+                RoundRecord::Sparse { .. } => old.detector_count(round),
+            };
+            if pushed != new.detector_count(round) {
+                return Err(SessionError::GeometryDiverged { round });
             }
+            if let RoundRecord::Sparse { detectors, .. } = record {
+                let was = old.detectors(round, &mut old_buf);
+                let now = new.detectors(round, &mut new_buf);
+                renamed.push(
+                    detectors
+                        .iter()
+                        .map(|d| {
+                            now[was
+                                .binary_search(d)
+                                .expect("pushed detector is in its round")]
+                        })
+                        .collect(),
+                );
+            }
+            round += 1;
         }
         let mut inner = Arc::clone(&shared.decoder).into_session(self.inner.lanes());
-        for record in &self.history {
+        let mut renamed = renamed.into_iter();
+        for record in &mut self.history {
+            let r = inner.filled_rounds();
             match record {
                 RoundRecord::Dense(words) => {
-                    let r = inner.filled_rounds();
-                    inner.push_round(r, &shared.detectors_of(r), words);
+                    inner.push_round(r, shared.source.detectors(r, &mut new_buf), words);
                 }
                 RoundRecord::Sparse { detectors, words } => {
-                    let r = inner.filled_rounds();
+                    *detectors = renamed.next().expect("one renaming per sparse record");
                     inner.push_round(r, detectors, words);
                 }
                 RoundRecord::Silent(n) => inner.advance_silent(*n),
@@ -829,10 +743,10 @@ impl DecodeSession {
     /// pushed; check [`filled_rounds`](Self::filled_rounds) first when
     /// unsure.
     pub fn finish(self) -> Result<Vec<u64>, SessionError> {
-        if self.inner.filled_rounds() != self.shared.total_rounds {
+        if self.inner.filled_rounds() != self.shared.total_rounds() {
             return Err(SessionError::Incomplete {
                 filled: self.inner.filled_rounds(),
-                total: self.shared.total_rounds,
+                total: self.shared.total_rounds(),
             });
         }
         Ok(self.inner.finish())
@@ -1141,6 +1055,74 @@ mod tests {
         ));
         // The rejections left the session untouched.
         assert_eq!(session.filled_rounds(), 0);
+    }
+
+    /// Feeds `session` silent rounds up to (not including) `round`.
+    fn advance_to(session: &mut DecodeSession, round: u32) {
+        while session.filled_rounds() < round {
+            session
+                .advance_silent(round - session.filled_rounds())
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn replan_after_sparse_pushes_matches_upfront_compile() {
+        // Sparse pushes record global detector ids, and a timeline that
+        // gains a future epoch renumbers them: the replay must follow
+        // each id to its position in the round's new layout.
+        let (d, pushed) = (5, 20u32);
+        let before = Patch::rotated(d);
+        let after = {
+            use surf_deformer_core::data_q_rm;
+            let mut p = before.clone();
+            data_q_rm(&mut p, Coord::new(5, 5)).unwrap();
+            p
+        };
+        for (rounds, sparse) in [(60u32, false), (60, true), (400, false), (400, true)] {
+            let config = fixed_config(d, rounds)
+                .with_window(WindowConfig::new(10))
+                .with_sparse(sparse);
+            let mut timeline = PatchTimeline::fixed(before.clone(), DefectMap::new());
+            timeline.push_epoch(rounds / 2, after.clone(), DefectMap::new());
+            let mut upfront = SessionConfig {
+                timeline: timeline.clone(),
+                ..config.clone()
+            }
+            .open(64);
+            let mut session = config.open(64);
+            let mut stream = session.sparse_round_stream();
+            stream.begin(&mut StdRng::seed_from_u64(u64::from(rounds)), 64);
+            while let Some(event) = stream.next_event() {
+                if event.round >= pushed {
+                    break;
+                }
+                // The upfront session takes the same words, densely.
+                let layout = session.detectors_of(event.round);
+                let mut words = vec![0u64; layout.len()];
+                for (det, &w) in event.detectors.iter().zip(event.words) {
+                    words[layout.binary_search(det).unwrap()] = w;
+                }
+                drop(layout);
+                advance_to(&mut session, event.round);
+                advance_to(&mut upfront, event.round);
+                session
+                    .push_round_sparse(event.detectors, event.words)
+                    .unwrap();
+                upfront.push_round(&words).unwrap();
+            }
+            advance_to(&mut session, pushed);
+            session.replan(timeline).unwrap();
+            for s in [&mut session, &mut upfront] {
+                let total = s.total_rounds();
+                advance_to(s, total);
+            }
+            assert_eq!(
+                session.finish().unwrap(),
+                upfront.finish().unwrap(),
+                "rounds {rounds} sparse {sparse}"
+            );
+        }
     }
 
     #[test]

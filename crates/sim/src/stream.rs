@@ -2,106 +2,219 @@
 //!
 //! Batch sampling (`BatchSampler`) fills the whole experiment's detector
 //! history at once — shot-major. Real-time decoding consumes the same
-//! data *round-major*: all detectors of round `t` (64 shot lanes wide)
-//! must be handed to the decoder before round `t + 1` exists. The
-//! [`RoundStream`] bridges the two: it samples one 64-lane batch through
-//! the model's [`BatchSampler`] and then replays it round by round, in
-//! exactly the order a hardware syndrome link would deliver it, feeding
-//! `surf_matching::WindowedSession::push_round` (or any other consumer).
+//! data *round-major*: all detectors of round `t` must be handed to the
+//! decoder before round `t + 1` exists. A [`WideRoundStream`] bridges the
+//! two. Each `begin` samples one batch of shot lanes through the sparse
+//! sampler, then replays it in either of two shapes:
 //!
-//! The stream draws the identical RNG sequence as the plain batch path,
-//! so a streamed experiment is bit-for-bit reproducible against
-//! `MemoryExperiment::run_basis` with the same seed.
+//! * [`next_round`](WideRoundStream::next_round) emits *every* round in
+//!   the order a hardware syndrome link would deliver it, silent detectors
+//!   zero-filled from the model's round layout — the feed for
+//!   `DecodeSession::push_round`;
+//! * [`next_event`](WideRoundStream::next_event) emits only the rounds
+//!   that fired, in ascending order — the feed for
+//!   `DecodeSession::push_round_sparse`, with `advance_silent` over the
+//!   gaps, so a batch costs O(firings) instead of O(rounds · detectors).
+//!
+//! Both shapes are exact. The sparse samplers consume the RNG
+//! draw-for-draw like [`BatchSampler::sample_into`] and
+//! [`BatchSampler::sample_wide_into`], so a streamed experiment is
+//! bit-for-bit reproducible against `MemoryExperiment::run_basis` with the
+//! same seed. The oracle is the sampler's own parity suite
+//! (`sparse_sampling_matches_dense_bit_for_bit`,
+//! `wide_sparse_matches_wide_dense_bit_for_bit`); this module's tests
+//! check both replay shapes against the dense batch.
+//!
+//! # Widths
+//!
+//! A width-`N` stream carries `64·N` lanes. Sub-word `j` draws from
+//! `rngs[j]` in a 64-lane stream's exact draw order, so it replays what a
+//! 64-lane stream seeded from stream `j` would emit. [`RoundStream`] is
+//! the `N = 1` instance, with a scalar face: `begin(rng, lanes)` and
+//! `true_observables() -> u64`.
 //!
 //! # Periodic sources
 //!
-//! Every stream can also be built over a [`PeriodicModel`]
-//! (`for_periodic`). The sparse streams then sample straight from the
-//! compressed per-round template — resident state O(epochs), not
-//! O(rounds), while consuming the RNG draw-for-draw identically to the
-//! monolithic sampler — which is what makes 10⁶-round horizons stream.
-//! The dense streams expand the template once at construction (dense
-//! replay materialises O(rounds) detector words by nature) and are
-//! bit-identical thereafter.
+//! A stream over a [`PeriodicModel`] samples straight from the compressed
+//! per-round template and reads round layouts by index arithmetic, in
+//! both shapes: resident state is O(epochs + firings), not O(rounds),
+//! which is what makes 10⁶-round horizons stream.
 
 use std::sync::Arc;
 
 use rand::Rng;
 use surf_matching::RoundModelSource;
-use surf_pauli::{BitBatch, WideBatch};
 
 use crate::model::DetectorModel;
 use crate::periodic::{PeriodicEvent, PeriodicModel, PeriodicScratch};
 use crate::sampler::{BatchSampler, SparseBatch};
-use crate::timeline::TimelineModel;
 
-/// Detector ids sorted by round plus the per-round span table:
-/// round `r` owns `order[round_start[r]..round_start[r + 1]]`. Returns
-/// `(order, round_start, total_rounds)` — shared by the base and wide
-/// dense streams.
-fn round_index(model: &DetectorModel) -> (Vec<u32>, Vec<usize>, u32) {
-    let total_rounds = model
-        .detector_rounds
-        .iter()
-        .map(|&r| r + 1)
-        .max()
-        .unwrap_or(0);
-    let mut order: Vec<u32> = (0..model.num_detectors as u32).collect();
-    order.sort_by_key(|&d| model.detector_rounds[d as usize]);
-    let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-    round_start.push(0);
-    for r in 0..total_rounds {
-        let prev = *round_start.last().unwrap();
-        let len = order[prev..]
-            .iter()
-            .take_while(|&&d| model.detector_rounds[d as usize] == r)
-            .count();
-        round_start.push(prev + len);
-    }
-    (order, round_start, total_rounds)
+/// A monolithic model's sampler and round layout, built once per compiled
+/// model by [`RoundSource::of_model`].
+pub(crate) struct MonoRounds {
+    sampler: BatchSampler,
+    /// Round label of each detector.
+    rounds_of: Vec<u32>,
+    /// Detector ids sorted by (round, id); round `r` owns
+    /// `order[round_start[r]..round_start[r + 1]]`.
+    order: Vec<u32>,
+    round_start: Vec<usize>,
 }
 
-/// The [`round_index`] of a periodic model's *expanded* horizon. Only the
-/// dense streams use this — dense replay materialises every round's words
-/// anyway, so the O(rounds) tables are not a new cost class. Sparse
-/// streams stay on the compressed template.
-fn periodic_round_index(model: &PeriodicModel) -> (Vec<u32>, Vec<usize>, u32) {
-    let total_rounds = RoundModelSource::total_rounds(model);
-    let n = RoundModelSource::num_detectors(model);
-    let rounds_of: Vec<u32> = (0..n as u32)
-        .map(|d| RoundModelSource::detector_round(model, d))
-        .collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&d| rounds_of[d as usize]);
-    let mut round_start = Vec::with_capacity(total_rounds as usize + 1);
-    round_start.push(0);
-    for r in 0..total_rounds {
-        let prev = *round_start.last().unwrap();
-        let len = order[prev..]
-            .iter()
-            .take_while(|&&d| rounds_of[d as usize] == r)
-            .count();
-        round_start.push(prev + len);
+impl MonoRounds {
+    /// `round`'s detector ids, ascending.
+    pub(crate) fn round(&self, round: u32) -> &[u32] {
+        &self.order[self.round_start[round as usize]..self.round_start[round as usize + 1]]
     }
-    (order, round_start, total_rounds)
 }
 
-/// The detector words of one round of one 64-lane shot batch.
-///
-/// `detectors[i]` fired in the shots whose lane bits are set in
-/// `words[i]`.
+/// The compiled model behind a stream or a session family: which
+/// detectors each round owns, and how to sample them. Clones share the
+/// model by [`Arc`], so a session hands out streams without rebuilding
+/// either.
+#[derive(Clone)]
+pub(crate) enum RoundSource {
+    /// A whole-horizon [`DetectorModel`] with its O(rounds) round table.
+    Mono(Arc<MonoRounds>),
+    /// A compressed periodic template, served by index arithmetic —
+    /// O(epochs) resident regardless of the horizon.
+    Periodic(Arc<PeriodicModel>),
+}
+
+impl RoundSource {
+    /// Builds `model`'s sampler and round layout.
+    pub(crate) fn of_model(model: &DetectorModel) -> Self {
+        let rounds_of = model.detector_rounds.clone();
+        let mut round_start = vec![0usize; model.total_rounds() as usize + 1];
+        for &r in &rounds_of {
+            round_start[r as usize + 1] += 1;
+        }
+        for r in 1..round_start.len() {
+            round_start[r] += round_start[r - 1];
+        }
+        let mut order: Vec<u32> = (0..model.num_detectors as u32).collect();
+        order.sort_by_key(|&d| rounds_of[d as usize]);
+        RoundSource::Mono(Arc::new(MonoRounds {
+            sampler: model.batch_sampler(),
+            rounds_of,
+            order,
+            round_start,
+        }))
+    }
+
+    /// One past the largest round label (noisy rounds plus the readout).
+    pub(crate) fn total_rounds(&self) -> u32 {
+        match self {
+            RoundSource::Mono(m) => (m.round_start.len() - 1) as u32,
+            RoundSource::Periodic(pm) => RoundModelSource::total_rounds(&**pm),
+        }
+    }
+
+    /// Number of detectors over the whole horizon.
+    pub(crate) fn num_detectors(&self) -> usize {
+        match self {
+            RoundSource::Mono(m) => m.rounds_of.len(),
+            RoundSource::Periodic(pm) => pm.num_detectors(),
+        }
+    }
+
+    /// The round `det` belongs to, or `None` for an id outside the model.
+    pub(crate) fn detector_round(&self, det: u32) -> Option<u32> {
+        if det as usize >= self.num_detectors() {
+            return None;
+        }
+        Some(match self {
+            RoundSource::Mono(m) => m.rounds_of[det as usize],
+            RoundSource::Periodic(pm) => RoundModelSource::detector_round(&**pm, det),
+        })
+    }
+
+    /// Number of detectors in `round` — O(1) and allocation-free.
+    pub(crate) fn detector_count(&self, round: u32) -> usize {
+        match self {
+            RoundSource::Mono(m) => {
+                m.round_start[round as usize + 1] - m.round_start[round as usize]
+            }
+            RoundSource::Periodic(pm) => pm.detector_count_in_round(round),
+        }
+    }
+
+    /// `round`'s detector ids in ascending order: borrowed from the table
+    /// on the monolithic path, written into `buf` on the periodic one.
+    pub(crate) fn detectors<'a>(&'a self, round: u32, buf: &'a mut Vec<u32>) -> &'a [u32] {
+        match self {
+            RoundSource::Mono(m) => m.round(round),
+            RoundSource::Periodic(pm) => {
+                buf.clear();
+                pm.detectors_in(round..round + 1, buf);
+                buf
+            }
+        }
+    }
+}
+
+/// The detectors of one round of a stream batch and their firing words.
 #[derive(Debug)]
 pub struct RoundSlice<'a> {
     /// The QEC round (final-readout comparisons appear as round `rounds`).
     pub round: u32,
-    /// Global detector indices belonging to this round.
+    /// Global detector indices, ascending: every detector of the round
+    /// from [`next_round`](WideRoundStream::next_round), only those firing
+    /// in some lane from [`next_event`](WideRoundStream::next_event).
     pub detectors: &'a [u32],
-    /// One 64-lane firing word per detector, aligned with `detectors`.
+    /// 64-lane firing words, sub-word-major: sub-word `j`'s words, aligned
+    /// with `detectors`, are [`words_of(j)`](Self::words_of). On a 64-lane
+    /// stream this is simply one word per detector.
     pub words: &'a [u64],
 }
 
-/// A reusable round-major sampler: one [`BatchSampler`] batch at a time,
-/// emitted as consecutive [`RoundSlice`]s.
+impl RoundSlice<'_> {
+    /// The 64-lane firing words of sub-word `j`, aligned with
+    /// [`detectors`](Self::detectors). Sub-word `j` of a wide stream
+    /// carries exactly the shots of its `j`-th seed stream, so a striped
+    /// consumer feeds it to an ordinary 64-lane session.
+    pub fn words_of(&self, j: usize) -> &[u64] {
+        let k = self.detectors.len();
+        &self.words[j * k..(j + 1) * k]
+    }
+}
+
+/// A reusable round-major sampler over `64·N` shot lanes: one sparse
+/// sample per [`begin_wide`](Self::begin_wide), replayed as
+/// [`RoundSlice`]s — every round through
+/// [`next_round`](Self::next_round), firing rounds only through
+/// [`next_event`](Self::next_event). See the [`RoundStream`] and
+/// [`SparseRoundStream`] examples.
+pub struct WideRoundStream<const N: usize> {
+    source: RoundSource,
+    /// One past the largest round label.
+    total_rounds: u32,
+    /// Touched-set sampling scratch per sub-word (zero rows on a periodic
+    /// source, which samples through `periodic`).
+    sparse: [SparseBatch; N],
+    periodic: [PeriodicScratch; N],
+    /// Per-sub-word firings of the current batch, sorted by (round, det).
+    fired: [Vec<PeriodicEvent>; N],
+    lanes: usize,
+    true_observables: [u64; N],
+    /// Detectors firing in any sub-word, sorted by (round, id).
+    dets: Vec<u32>,
+    /// Firing words, one row of `N` sub-word words per entry of `dets`
+    /// (`words[N·i + j]`; 0 where sub-word `j` did not fire).
+    words: Vec<u64>,
+    /// `(round, start offset into dets)` per firing round.
+    events: Vec<(u32, u32)>,
+    /// Next event to emit.
+    event: usize,
+    /// Next round [`next_round`](Self::next_round) emits.
+    round: u32,
+    /// Reused layout buffer of `next_round`, and the sub-word-major words
+    /// of the emitted slice.
+    round_dets: Vec<u32>,
+    round_words: Vec<u64>,
+}
+
+/// The 64-lane stream. It serves both the dense and the event-driven feed.
 ///
 /// # Example
 ///
@@ -125,144 +238,9 @@ pub struct RoundSlice<'a> {
 /// }
 /// assert_eq!(rounds, 4); // 3 noisy rounds + the readout comparison
 /// ```
-pub struct RoundStream {
-    sampler: BatchSampler,
-    /// Detector ids sorted by round; round `r` owns
-    /// `order[round_start[r]..round_start[r + 1]]`.
-    order: Vec<u32>,
-    round_start: Vec<usize>,
-    /// One past the largest round label.
-    total_rounds: u32,
-    /// The current in-flight batch (shot-major backing store).
-    batch: BitBatch,
-    /// True observable-flip word of the current batch.
-    true_observables: u64,
-    /// Next round to emit.
-    cursor: u32,
-    /// Scratch for the emitted per-round words.
-    words: Vec<u64>,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-impl RoundStream {
-    /// Builds a stream over `model`'s channels and detector rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let (order, round_start, total_rounds) = round_index(model);
-        RoundStream {
-            sampler: model.batch_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: BitBatch::zeros(model.num_detectors),
-            true_observables: 0,
-            cursor: total_rounds,
-            words: Vec::new(),
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Builds an *epoch-aware* stream over a [`TimelineModel`]: identical
-    /// replay semantics (the unified multi-epoch sampler draws one RNG
-    /// sequence per batch, preserving the batch-indexed determinism
-    /// contract), plus the deformation rounds so consumers can tell when
-    /// the emitted detector layout changes geometry.
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = RoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a dense stream over a [`PeriodicModel`] by expanding its
-    /// template once (dense replay is O(rounds) by nature; the sparse
-    /// streams are the O(epochs) path). Emits bit-for-bit what
-    /// [`for_timeline`](Self::for_timeline) over the equivalent monolithic
-    /// model would.
-    pub fn for_periodic(model: &PeriodicModel) -> Self {
-        let (order, round_start, total_rounds) = periodic_round_index(model);
-        RoundStream {
-            sampler: model.monolithic_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: BitBatch::zeros(model.num_detectors()),
-            true_observables: 0,
-            cursor: total_rounds,
-            words: Vec::new(),
-            boundaries: model.deformation_rounds(),
-        }
-    }
-
-    /// Number of rounds each batch is emitted over (noisy rounds plus the
-    /// final readout comparison).
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh batch of `lanes` shots and rewinds the round
-    /// cursor. Draws exactly the RNG sequence of
-    /// [`BatchSampler::sample_into`], so streamed experiments reproduce
-    /// batch experiments bit for bit.
-    pub fn begin<R: Rng + ?Sized>(&mut self, rng: &mut R, lanes: usize) {
-        self.batch.set_lanes(lanes);
-        self.true_observables = self.sampler.sample_into(rng, &mut self.batch);
-        self.cursor = 0;
-    }
-
-    /// Emits the next round of the current batch, or `None` when the
-    /// batch is exhausted (call [`begin`](Self::begin) again).
-    pub fn next_round(&mut self) -> Option<RoundSlice<'_>> {
-        if self.cursor >= self.total_rounds {
-            return None;
-        }
-        let round = self.cursor;
-        self.cursor += 1;
-        let span = self.round_start[round as usize]..self.round_start[round as usize + 1];
-        let detectors = &self.order[span.clone()];
-        self.words.clear();
-        self.words
-            .extend(detectors.iter().map(|&d| self.batch.word(d as usize)));
-        Some(RoundSlice {
-            round,
-            detectors,
-            words: &self.words,
-        })
-    }
-
-    /// The true observable-flip word of the current batch (ground truth
-    /// for failure counting; conceptually the final logical readout).
-    pub fn true_observables(&self) -> u64 {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.batch.lanes()
-    }
-}
-
-/// The event-driven twin of [`RoundStream`]: samples each 64-lane batch
-/// through [`BatchSampler::sample_sparse`] (draw-for-draw identical RNG
-/// consumption, so the emitted syndromes match the dense stream bit for
-/// bit) and replays only the rounds that actually fired, in ascending
-/// round order, as [`RoundSlice`] *events*. Syndrome-silent rounds — the
-/// overwhelming majority at physical error rates — are skipped entirely;
-/// the consumer bridges the gaps with
-/// `surf_matching::WindowedSession::advance_silent` (or
-/// `DecodeSession::advance_silent`), making a batch cost O(firings)
-/// instead of O(rounds · detectors).
+pub type RoundStream = WideRoundStream<1>;
+/// The 64-lane stream, named for its event-driven use
+/// ([`next_event`](WideRoundStream::next_event)).
 ///
 /// # Example
 ///
@@ -286,602 +264,211 @@ impl RoundStream {
 ///     last = Some(event.round);
 /// }
 /// ```
-pub struct SparseRoundStream {
-    source: SparseSource,
-    /// One past the largest round label.
-    total_rounds: u32,
-    true_observables: u64,
-    lanes: usize,
-    /// Firing detectors of the current batch, sorted by (round, id).
-    dets: Vec<u32>,
-    /// Defect words aligned with `dets`.
-    words: Vec<u64>,
-    /// `(round, start offset into dets/words)` per firing round.
-    events: Vec<(u32, u32)>,
-    /// Next event to emit.
-    cursor: usize,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
+pub type SparseRoundStream = WideRoundStream<1>;
+/// The width-`N` stream, named for its event-driven use.
+pub type WideSparseRoundStream<const N: usize> = WideRoundStream<N>;
 
-/// Sampling backend of a [`SparseRoundStream`].
-enum SparseSource {
-    /// Whole-horizon monolithic sampler plus its O(rounds) round table.
-    Mono {
-        sampler: BatchSampler,
-        /// Round label of each detector.
-        rounds_of: Vec<u32>,
-        /// Touched-set sampling scratch, reused across batches.
-        scratch: SparseBatch,
-    },
-    /// Compressed periodic template — resident state O(epochs + firings)
-    /// regardless of horizon, RNG consumption draw-for-draw identical to
-    /// the monolithic sampler.
-    Periodic {
-        model: Arc<PeriodicModel>,
-        scratch: PeriodicScratch,
-        /// Per-batch firings, already sorted by (round, det).
-        fired: Vec<PeriodicEvent>,
-    },
-}
-
-impl SparseRoundStream {
-    /// Builds a sparse stream over `model`'s channels and detector rounds.
+impl<const N: usize> WideRoundStream<N> {
+    /// Builds a stream over `model`'s channels and detector rounds (a
+    /// [`TimelineModel`](crate::TimelineModel)'s `model` streams every
+    /// epoch in one batch).
     pub fn new(model: &DetectorModel) -> Self {
-        let total_rounds = model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        SparseRoundStream {
-            source: SparseSource::Mono {
-                sampler: model.batch_sampler(),
-                rounds_of: model.detector_rounds.clone(),
-                scratch: SparseBatch::new(model.num_detectors),
-            },
-            total_rounds,
-            true_observables: 0,
-            lanes: 0,
-            dets: Vec::new(),
-            words: Vec::new(),
-            events: Vec::new(),
-            cursor: 0,
-            boundaries: Vec::new(),
-        }
+        Self::over(RoundSource::of_model(model))
     }
 
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = SparseRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a sparse stream straight over a [`PeriodicModel`] template:
-    /// no O(rounds) tables are ever materialised, and each batch samples
-    /// from the compressed channels with the monolithic RNG draw order,
-    /// so events match [`for_timeline`](Self::for_timeline) bit for bit.
+    /// Builds a stream straight over a [`PeriodicModel`] template: no
+    /// O(rounds) table is ever materialised, and each batch samples the
+    /// compressed channels in the monolithic RNG draw order, so both
+    /// replay shapes match a stream over the equivalent monolithic model
+    /// bit for bit.
     pub fn for_periodic(model: Arc<PeriodicModel>) -> Self {
-        SparseRoundStream {
-            total_rounds: RoundModelSource::total_rounds(&*model),
-            boundaries: model.deformation_rounds(),
-            source: SparseSource::Periodic {
-                model,
-                scratch: PeriodicScratch::default(),
-                fired: Vec::new(),
-            },
-            true_observables: 0,
+        Self::over(RoundSource::Periodic(model))
+    }
+
+    /// A stream sharing `source`'s sampler and layout.
+    pub(crate) fn over(source: RoundSource) -> Self {
+        let rows = match &source {
+            RoundSource::Mono(m) => m.rounds_of.len(),
+            RoundSource::Periodic(_) => 0,
+        };
+        let total_rounds = source.total_rounds();
+        WideRoundStream {
+            source,
+            total_rounds,
+            sparse: std::array::from_fn(|_| SparseBatch::new(rows)),
+            periodic: std::array::from_fn(|_| PeriodicScratch::default()),
+            fired: std::array::from_fn(|_| Vec::new()),
             lanes: 0,
+            true_observables: [0; N],
             dets: Vec::new(),
             words: Vec::new(),
             events: Vec::new(),
-            cursor: 0,
+            event: 0,
+            round: total_rounds,
+            round_dets: Vec::new(),
+            round_words: Vec::new(),
         }
     }
 
     /// Number of rounds each batch spans (noisy rounds plus the final
-    /// readout comparison) — silent ones included, though never emitted.
+    /// readout comparison).
     pub fn total_rounds(&self) -> u32 {
         self.total_rounds
     }
 
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh batch of `lanes` shots and indexes its firings by
-    /// round. Consumes exactly the RNG sequence of
-    /// [`BatchSampler::sample_into`] (via
-    /// [`sample_sparse`](BatchSampler::sample_sparse)), so sparse streamed
-    /// experiments reproduce dense ones bit for bit at the same seed.
-    pub fn begin<R: Rng + ?Sized>(&mut self, rng: &mut R, lanes: usize) {
+    /// Samples a fresh batch of `lanes` shots (sub-word `j` from
+    /// `rngs[j]`) and rewinds both replay cursors. Sub-word `j` consumes
+    /// exactly the RNG sequence of a 64-lane
+    /// [`BatchSampler::sample_into`] call, so streamed experiments
+    /// reproduce batch experiments bit for bit.
+    pub fn begin_wide<R: Rng>(&mut self, rngs: &mut [R; N], lanes: usize) {
         self.lanes = lanes;
+        match &self.source {
+            RoundSource::Mono(m) => {
+                self.true_observables = m.sampler.sample_sparse_wide(rngs, lanes, &mut self.sparse);
+                for (batch, fired) in self.sparse.iter().zip(&mut self.fired) {
+                    fired.clear();
+                    fired.extend(batch.touched().iter().filter_map(|&det| {
+                        let word = batch.word(det as usize);
+                        (word != 0).then(|| PeriodicEvent {
+                            round: m.rounds_of[det as usize],
+                            det,
+                            word,
+                        })
+                    }));
+                    fired.sort_unstable_by_key(|e| (e.round, e.det));
+                }
+            }
+            RoundSource::Periodic(pm) => {
+                // One scalar template pass per sub-word: the wide
+                // sampler's draw order is exactly this.
+                for (j, (rng, fired)) in rngs.iter_mut().zip(&mut self.fired).enumerate() {
+                    fired.clear();
+                    let sub_lanes = lanes.saturating_sub(64 * j).min(64);
+                    self.true_observables[j] = if sub_lanes == 0 {
+                        0
+                    } else {
+                        pm.sample_sparse_into(rng, sub_lanes, &mut self.periodic[j], fired)
+                    };
+                }
+            }
+        }
+        self.index_firings();
+        self.event = 0;
+        self.round = 0;
+    }
+
+    /// Merges the sub-words' sorted firings into one ascending (round,
+    /// id) event list with one word row per firing detector.
+    fn index_firings(&mut self) {
         self.dets.clear();
         self.words.clear();
         self.events.clear();
-        self.cursor = 0;
-        match &mut self.source {
-            SparseSource::Mono {
-                sampler,
-                rounds_of,
-                scratch,
-            } => {
-                self.true_observables = sampler.sample_sparse(rng, lanes, scratch);
-                self.dets.extend(
-                    scratch
-                        .touched()
-                        .iter()
-                        .copied()
-                        .filter(|&d| scratch.word(d as usize) != 0),
-                );
-                self.dets
-                    .sort_unstable_by_key(|&d| (rounds_of[d as usize], d));
-                for &d in &self.dets {
-                    let round = rounds_of[d as usize];
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.words.len() as u32));
-                    }
-                    self.words.push(scratch.word(d as usize));
-                }
+        // Cursor into each sub-word's firings.
+        let mut next = [0usize; N];
+        while let Some((round, det)) = self
+            .fired
+            .iter()
+            .zip(&next)
+            .filter_map(|(fired, &at)| fired.get(at).map(|e| (e.round, e.det)))
+            .min()
+        {
+            if self.events.last().map(|&(r, _)| r) != Some(round) {
+                self.events.push((round, self.dets.len() as u32));
             }
-            SparseSource::Periodic {
-                model,
-                scratch,
-                fired,
-            } => {
-                self.true_observables = model.sample_sparse_into(rng, lanes, scratch, fired);
-                for e in fired.iter() {
-                    if self.events.last().map(|&(r, _)| r) != Some(e.round) {
-                        self.events.push((e.round, self.words.len() as u32));
+            self.dets.push(det);
+            for (fired, at) in self.fired.iter().zip(&mut next) {
+                let word = match fired.get(*at) {
+                    Some(e) if e.det == det => {
+                        *at += 1;
+                        e.word
                     }
-                    self.dets.push(e.det);
-                    self.words.push(e.word);
-                }
+                    _ => 0,
+                };
+                self.words.push(word);
             }
         }
     }
 
-    /// Emits the next firing round of the current batch, or `None` when
-    /// the batch is exhausted (call [`begin`](Self::begin) again). Every
-    /// emitted slice is non-empty; rounds between consecutive events are
-    /// syndrome-silent across all lanes.
-    pub fn next_event(&mut self) -> Option<RoundSlice<'_>> {
-        if self.cursor >= self.events.len() {
-            return None;
-        }
-        let (round, start) = self.events[self.cursor];
+    /// The round of event `e` and its span in `dets` (`N`-fold in
+    /// `words`).
+    fn event_span(&self, e: usize) -> (u32, std::ops::Range<usize>) {
+        let (round, start) = self.events[e];
         let end = self
             .events
-            .get(self.cursor + 1)
+            .get(e + 1)
             .map_or(self.dets.len(), |&(_, s)| s as usize);
-        self.cursor += 1;
+        (round, start as usize..end)
+    }
+
+    /// Emits the next firing round of the current batch, or `None` when
+    /// the batch is exhausted (call `begin` again). Every emitted slice
+    /// fires in at least one lane; rounds between consecutive events are
+    /// syndrome-silent across all lanes. On a wide stream a sub-word's
+    /// [`words_of`](RoundSlice::words_of) may be all zero when only other
+    /// sub-words fired — a striped 64-lane consumer pushes it as a silent
+    /// round.
+    pub fn next_event(&mut self) -> Option<RoundSlice<'_>> {
+        if self.event >= self.events.len() {
+            return None;
+        }
+        let (round, span) = self.event_span(self.event);
+        self.event += 1;
+        self.round = round + 1;
+        let rows = &self.words[N * span.start..N * span.end];
+        self.round_words.clear();
+        for j in 0..N {
+            self.round_words
+                .extend(rows.iter().skip(j).step_by(N).copied());
+        }
         Some(RoundSlice {
             round,
-            detectors: &self.dets[start as usize..end],
-            words: &self.words[start as usize..end],
+            detectors: &self.dets[span],
+            words: &self.round_words,
         })
     }
 
-    /// The true observable-flip word of the current batch (ground truth
-    /// for failure counting; conceptually the final logical readout).
-    pub fn true_observables(&self) -> u64 {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-}
-
-/// The detector words of one round of one `64·N`-lane wide shot batch.
-///
-/// `detectors[i]` fired (in sub-word `j`'s shots) where the lane bits of
-/// [`words_of(j)`](Self::words_of)`[i]` are set. Sub-word `j` of a wide
-/// stream carries exactly the shots of base batch `g·N + j`, so a striped
-/// consumer can feed `words_of(j)` to an ordinary 64-lane session.
-#[derive(Debug)]
-pub struct WideRoundSlice<'a> {
-    /// The QEC round (final-readout comparisons appear as round `rounds`).
-    pub round: u32,
-    /// Global detector indices belonging to this round.
-    pub detectors: &'a [u32],
-    /// Per-sub-word firing-word stores; the slice's entries live at
-    /// `words[j][span]`, aligned with `detectors`.
-    words: &'a [Vec<u64>],
-    span: std::ops::Range<usize>,
-}
-
-impl WideRoundSlice<'_> {
-    /// The 64-lane firing words of sub-word `j`, aligned with
-    /// [`detectors`](Self::detectors).
-    pub fn words_of(&self, j: usize) -> &[u64] {
-        &self.words[j][self.span.clone()]
-    }
-
-    /// Number of sub-words (`N`).
-    pub fn width(&self) -> usize {
-        self.words.len()
-    }
-}
-
-/// The width-`N` twin of [`RoundStream`]: samples one `64·N`-lane
-/// [`WideBatch`] through [`BatchSampler::sample_wide_into`] (one channel
-/// walk per `64·N` shots) and replays it round-major as
-/// [`WideRoundSlice`]s. Sub-word `j` draws from `rngs[j]` with the base
-/// stream's exact draw order, so `words_of(j)` replays bit-for-bit what a
-/// base [`RoundStream`] seeded from stream `j` would emit.
-pub struct WideRoundStream<const N: usize> {
-    sampler: BatchSampler,
-    /// Detector ids sorted by round; round `r` owns
-    /// `order[round_start[r]..round_start[r + 1]]`.
-    order: Vec<u32>,
-    round_start: Vec<usize>,
-    /// One past the largest round label.
-    total_rounds: u32,
-    /// The current in-flight batch (shot-major backing store).
-    batch: WideBatch<N>,
-    /// True observable-flip words of the current batch, one per sub-word.
-    true_observables: [u64; N],
-    /// Next round to emit.
-    cursor: u32,
-    /// Scratch for the emitted per-round words, one `Vec` per sub-word.
-    words: Vec<Vec<u64>>,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-impl<const N: usize> WideRoundStream<N> {
-    /// Builds a wide stream over `model`'s channels and detector rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let (order, round_start, total_rounds) = round_index(model);
-        WideRoundStream {
-            sampler: model.batch_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: WideBatch::zeros(model.num_detectors),
-            true_observables: [0; N],
-            cursor: total_rounds,
-            words: (0..N).map(|_| Vec::new()).collect(),
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = WideRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a wide dense stream over a [`PeriodicModel`] by expanding
-    /// its template once; see [`RoundStream::for_periodic`].
-    pub fn for_periodic(model: &PeriodicModel) -> Self {
-        let (order, round_start, total_rounds) = periodic_round_index(model);
-        WideRoundStream {
-            sampler: model.monolithic_sampler(),
-            order,
-            round_start,
-            total_rounds,
-            batch: WideBatch::zeros(model.num_detectors()),
-            true_observables: [0; N],
-            cursor: total_rounds,
-            words: (0..N).map(|_| Vec::new()).collect(),
-            boundaries: model.deformation_rounds(),
-        }
-    }
-
-    /// Number of rounds each batch is emitted over.
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh wide batch of `lanes` shots (sub-word `j` from
-    /// `rngs[j]`) and rewinds the round cursor.
-    pub fn begin<R: Rng>(&mut self, rngs: &mut [R; N], lanes: usize) {
-        self.batch.set_lanes(lanes);
-        self.true_observables = self.sampler.sample_wide_into(rngs, &mut self.batch);
-        self.cursor = 0;
-    }
-
-    /// Emits the next round of the current batch, or `None` when the
-    /// batch is exhausted (call [`begin`](Self::begin) again).
-    pub fn next_round(&mut self) -> Option<WideRoundSlice<'_>> {
-        if self.cursor >= self.total_rounds {
+    /// Emits the next round of the current batch — every detector of the
+    /// round, silent ones as zero words — or `None` when the batch is
+    /// exhausted (call `begin` again).
+    pub fn next_round(&mut self) -> Option<RoundSlice<'_>> {
+        let round = self.round;
+        if round >= self.total_rounds {
             return None;
         }
-        let round = self.cursor;
-        self.cursor += 1;
-        let span = self.round_start[round as usize]..self.round_start[round as usize + 1];
-        let detectors = &self.order[span];
-        for (j, words) in self.words.iter_mut().enumerate() {
-            words.clear();
-            words.extend(detectors.iter().map(|&d| self.batch.word_at(d as usize, j)));
+        self.round += 1;
+        // The round's event, if it fired (an empty span otherwise).
+        let span = match self.events.get(self.event) {
+            Some(&(r, _)) if r == round => {
+                self.event += 1;
+                self.event_span(self.event - 1).1
+            }
+            _ => 0..0,
+        };
+        let detectors = self.source.detectors(round, &mut self.round_dets);
+        let k = detectors.len();
+        self.round_words.clear();
+        self.round_words.resize(N * k, 0);
+        let rows = self.words[N * span.start..N * span.end].chunks_exact(N);
+        // Both lists ascend: walk the firing detectors into the layout.
+        let mut i = 0;
+        for (&det, row) in self.dets[span].iter().zip(rows) {
+            while detectors[i] != det {
+                i += 1;
+            }
+            for (j, &word) in row.iter().enumerate() {
+                self.round_words[j * k + i] = word;
+            }
         }
-        let len = detectors.len();
-        Some(WideRoundSlice {
+        Some(RoundSlice {
             round,
             detectors,
-            words: &self.words,
-            span: 0..len,
+            words: &self.round_words,
         })
     }
 
     /// True observable-flip words of the current batch, one per sub-word.
-    pub fn true_observables(&self) -> [u64; N] {
-        self.true_observables
-    }
-
-    /// Active lane count of the current batch.
-    pub fn lanes(&self) -> usize {
-        self.batch.lanes()
-    }
-
-    /// Number of sub-words holding at least one active lane.
-    pub fn active_words(&self) -> usize {
-        self.batch.active_words()
-    }
-}
-
-/// The width-`N` twin of [`SparseRoundStream`]: samples sub-word `j`'s
-/// firings into its own touched-set scratch via
-/// [`BatchSampler::sample_sparse_wide`], then merges the sub-words'
-/// firing detectors into one ascending (round, id) event list. An event's
-/// [`words_of(j)`](WideRoundSlice::words_of) may be all-zero when only
-/// other sub-words fired that round — a striped 64-lane consumer treats
-/// such a push as a silent round.
-pub struct WideSparseRoundStream<const N: usize> {
-    source: WideSparseSource<N>,
-    /// One past the largest round label.
-    total_rounds: u32,
-    true_observables: [u64; N],
-    lanes: usize,
-    /// Detectors firing in any sub-word, sorted by (round, id).
-    dets: Vec<u32>,
-    /// Per-sub-word defect words, `words[j]` aligned with `dets`.
-    words: Vec<Vec<u64>>,
-    /// `(round, start offset into dets/words)` per firing round.
-    events: Vec<(u32, u32)>,
-    /// Next event to emit.
-    cursor: usize,
-    /// Rounds at which the patch geometry deforms (ascending; empty for
-    /// fixed-geometry models).
-    boundaries: Vec<u32>,
-}
-
-/// Sampling backend of a [`WideSparseRoundStream`].
-enum WideSparseSource<const N: usize> {
-    /// Whole-horizon monolithic sampler plus its O(rounds) round table.
-    Mono {
-        sampler: BatchSampler,
-        /// Round label of each detector.
-        rounds_of: Vec<u32>,
-        /// Per-sub-word touched-set sampling scratch, reused across batches.
-        scratch: [SparseBatch; N],
-    },
-    /// Compressed periodic template sampled scalar per sub-word — the
-    /// wide sampler's draw order is exactly one full scalar pass per
-    /// sub-word, so this stays bit-identical to the monolithic wide path.
-    Periodic {
-        model: Arc<PeriodicModel>,
-        /// One scratch per sub-word (`N` entries).
-        scratch: Vec<PeriodicScratch>,
-        /// Per-sub-word firings, each sorted by (round, det).
-        fired: Vec<Vec<PeriodicEvent>>,
-    },
-}
-
-impl<const N: usize> WideSparseRoundStream<N> {
-    /// Builds a wide sparse stream over `model`'s channels and rounds.
-    pub fn new(model: &DetectorModel) -> Self {
-        let total_rounds = model
-            .detector_rounds
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(0);
-        WideSparseRoundStream {
-            source: WideSparseSource::Mono {
-                sampler: model.batch_sampler(),
-                rounds_of: model.detector_rounds.clone(),
-                scratch: std::array::from_fn(|_| SparseBatch::new(model.num_detectors)),
-            },
-            total_rounds,
-            true_observables: [0; N],
-            lanes: 0,
-            dets: Vec::new(),
-            words: (0..N).map(|_| Vec::new()).collect(),
-            events: Vec::new(),
-            cursor: 0,
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Epoch-aware construction over a [`TimelineModel`]; see
-    /// [`RoundStream::for_timeline`].
-    pub fn for_timeline(timeline: &TimelineModel) -> Self {
-        let mut stream = WideSparseRoundStream::new(&timeline.model);
-        stream.boundaries = timeline.deformation_rounds().to_vec();
-        stream
-    }
-
-    /// Builds a wide sparse stream straight over a [`PeriodicModel`]
-    /// template; see [`SparseRoundStream::for_periodic`].
-    pub fn for_periodic(model: Arc<PeriodicModel>) -> Self {
-        WideSparseRoundStream {
-            total_rounds: RoundModelSource::total_rounds(&*model),
-            boundaries: model.deformation_rounds(),
-            source: WideSparseSource::Periodic {
-                model,
-                scratch: (0..N).map(|_| PeriodicScratch::default()).collect(),
-                fired: (0..N).map(|_| Vec::new()).collect(),
-            },
-            true_observables: [0; N],
-            lanes: 0,
-            dets: Vec::new(),
-            words: (0..N).map(|_| Vec::new()).collect(),
-            events: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Number of rounds each batch spans — silent ones included, though
-    /// never emitted.
-    pub fn total_rounds(&self) -> u32 {
-        self.total_rounds
-    }
-
-    /// Rounds at which the patch geometry deforms (empty unless built by
-    /// [`for_timeline`](Self::for_timeline)).
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.boundaries
-    }
-
-    /// `true` if the geometry deforms at the start of `round`.
-    pub fn is_deformation_round(&self, round: u32) -> bool {
-        self.boundaries.binary_search(&round).is_ok()
-    }
-
-    /// Samples a fresh wide batch of `lanes` shots (sub-word `j` from
-    /// `rngs[j]`, draw-for-draw identical to the dense wide stream) and
-    /// indexes the union of firings by round.
-    pub fn begin<R: Rng>(&mut self, rngs: &mut [R; N], lanes: usize) {
-        self.lanes = lanes;
-        self.dets.clear();
-        for words in self.words.iter_mut() {
-            words.clear();
-        }
-        self.events.clear();
-        self.cursor = 0;
-        match &mut self.source {
-            WideSparseSource::Mono {
-                sampler,
-                rounds_of,
-                scratch,
-            } => {
-                self.true_observables = sampler.sample_sparse_wide(rngs, lanes, scratch);
-                for scratch in scratch.iter() {
-                    self.dets.extend(
-                        scratch
-                            .touched()
-                            .iter()
-                            .copied()
-                            .filter(|&d| scratch.word(d as usize) != 0),
-                    );
-                }
-                self.dets
-                    .sort_unstable_by_key(|&d| (rounds_of[d as usize], d));
-                self.dets.dedup();
-                for &d in &self.dets {
-                    let round = rounds_of[d as usize];
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.words[0].len() as u32));
-                    }
-                    for (j, words) in self.words.iter_mut().enumerate() {
-                        words.push(scratch[j].word(d as usize));
-                    }
-                }
-            }
-            WideSparseSource::Periodic {
-                model,
-                scratch,
-                fired,
-            } => {
-                // One scalar template pass per active sub-word — the wide
-                // sampler's draw order is exactly this, so sub-word j
-                // replays bit-for-bit what a base stream seeded from
-                // rngs[j] would.
-                let active = lanes.div_ceil(64).min(N);
-                self.true_observables = [0; N];
-                for (j, (rng, fired)) in rngs.iter_mut().zip(fired.iter_mut()).enumerate() {
-                    fired.clear();
-                    if j < active {
-                        let sub_lanes = (lanes - 64 * j).min(64);
-                        self.true_observables[j] =
-                            model.sample_sparse_into(rng, sub_lanes, &mut scratch[j], fired);
-                    }
-                }
-                // Union of firings across sub-words, ascending (round, id).
-                let mut keys: Vec<(u32, u32)> = fired
-                    .iter()
-                    .flat_map(|f| f.iter().map(|e| (e.round, e.det)))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for &(round, det) in &keys {
-                    if self.events.last().map(|&(r, _)| r) != Some(round) {
-                        self.events.push((round, self.dets.len() as u32));
-                    }
-                    self.dets.push(det);
-                }
-                // Merge-walk each sub-word's sorted firings against the
-                // union to align its words with `dets` (absent → 0).
-                for (j, words) in self.words.iter_mut().enumerate() {
-                    let mut it = fired[j].iter().peekable();
-                    for &(round, det) in &keys {
-                        let w = match it.peek() {
-                            Some(e) if (e.round, e.det) == (round, det) => {
-                                let w = e.word;
-                                it.next();
-                                w
-                            }
-                            _ => 0,
-                        };
-                        words.push(w);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emits the next firing round of the current batch, or `None` when
-    /// the batch is exhausted. Every emitted slice fires in at least one
-    /// sub-word; rounds between consecutive events are syndrome-silent
-    /// across all lanes of all sub-words.
-    pub fn next_event(&mut self) -> Option<WideRoundSlice<'_>> {
-        if self.cursor >= self.events.len() {
-            return None;
-        }
-        let (round, start) = self.events[self.cursor];
-        let end = self
-            .events
-            .get(self.cursor + 1)
-            .map_or(self.dets.len(), |&(_, s)| s as usize);
-        self.cursor += 1;
-        Some(WideRoundSlice {
-            round,
-            detectors: &self.dets[start as usize..end],
-            words: &self.words,
-            span: start as usize..end,
-        })
-    }
-
-    /// True observable-flip words of the current batch, one per sub-word.
-    pub fn true_observables(&self) -> [u64; N] {
+    pub fn true_observables_wide(&self) -> [u64; N] {
         self.true_observables
     }
 
@@ -896,15 +483,31 @@ impl<const N: usize> WideSparseRoundStream<N> {
     }
 }
 
+impl WideRoundStream<1> {
+    /// Samples a fresh batch of `lanes` (at most 64) shots from `rng`;
+    /// see [`begin_wide`](Self::begin_wide).
+    pub fn begin<R: Rng>(&mut self, rng: &mut R, lanes: usize) {
+        self.begin_wide(std::array::from_mut(rng), lanes);
+    }
+
+    /// The true observable-flip word of the current batch (ground truth
+    /// for failure counting; conceptually the final logical readout).
+    pub fn true_observables(&self) -> u64 {
+        self.true_observables[0]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::DecoderPrior;
     use crate::noise::{NoiseParams, QubitNoise};
+    use crate::timeline::TimelineModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use surf_defects::DefectMap;
     use surf_lattice::{Basis, Patch};
+    use surf_pauli::{BitBatch, WideBatch};
 
     fn model(d: usize, rounds: u32, p: f64) -> DetectorModel {
         let patch = Patch::rotated(d);
@@ -912,121 +515,177 @@ mod tests {
         DetectorModel::build(&patch, Basis::Z, rounds, &noise, DecoderPrior::Informed)
     }
 
+    fn rngs<const N: usize>(seed: u64) -> [StdRng; N] {
+        std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64))
+    }
+
+    /// One dense sample from seed streams `seed + j`: the detector batch,
+    /// the observable words and the RNG states it leaves behind.
+    struct Oracle<const N: usize> {
+        batch: WideBatch<N>,
+        obs: [u64; N],
+        rngs: [StdRng; N],
+    }
+
+    /// The 64-lane oracle, drawn through [`BatchSampler::sample_into`].
+    fn scalar_oracle(sampler: &BatchSampler, seed: u64, lanes: usize) -> Oracle<1> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch = BitBatch::zeros(sampler.num_detectors());
+        batch.set_lanes(lanes);
+        let obs = sampler.sample_into(&mut rng, &mut batch);
+        Oracle {
+            batch,
+            obs: [obs],
+            rngs: [rng],
+        }
+    }
+
+    /// The width-`N` oracle, drawn through
+    /// [`BatchSampler::sample_wide_into`].
+    fn wide_oracle<const N: usize>(sampler: &BatchSampler, seed: u64, lanes: usize) -> Oracle<N> {
+        let mut rngs = rngs::<N>(seed);
+        let mut batch = WideBatch::<N>::zeros(sampler.num_detectors());
+        batch.set_lanes(lanes);
+        let obs = sampler.sample_wide_into(&mut rngs, &mut batch);
+        Oracle { batch, obs, rngs }
+    }
+
+    /// Samples `stream` at `(seed, lanes)` twice and checks both replay
+    /// shapes against the dense oracle: `next_round` emits every detector
+    /// once, in round order, with the oracle's words; `next_event` emits
+    /// exactly the rounds and detectors that fired. The stream must also
+    /// leave each RNG where the oracle left it.
+    fn assert_replays<const N: usize>(
+        stream: &mut WideRoundStream<N>,
+        mut oracle: Oracle<N>,
+        rounds_of: &[u32],
+        seed: u64,
+        lanes: usize,
+    ) {
+        let mut sampled = rngs::<N>(seed);
+        stream.begin_wide(&mut sampled, lanes);
+        assert_eq!(stream.lanes(), lanes);
+        assert_eq!(stream.true_observables_wide(), oracle.obs, "seed {seed}");
+        for (a, b) in sampled.iter_mut().zip(oracle.rngs.iter_mut()) {
+            assert_eq!(
+                a.gen::<u64>(),
+                b.gen::<u64>(),
+                "RNG state after seed {seed}"
+            );
+        }
+        let mut seen = vec![false; rounds_of.len()];
+        let mut firing = Vec::new();
+        let mut last = None;
+        while let Some(slice) = stream.next_round() {
+            assert!(last < Some(slice.round), "rounds must ascend");
+            last = Some(slice.round);
+            assert_eq!(slice.words.len(), N * slice.detectors.len());
+            for (i, &d) in slice.detectors.iter().enumerate() {
+                assert_eq!(rounds_of[d as usize], slice.round, "detector {d}");
+                assert!(!seen[d as usize], "detector {d} emitted twice");
+                seen[d as usize] = true;
+                let got: [u64; N] = std::array::from_fn(|j| slice.words_of(j)[i]);
+                let want: [u64; N] = std::array::from_fn(|j| oracle.batch.word_at(d as usize, j));
+                assert_eq!(got, want, "seed {seed} round {} detector {d}", slice.round);
+                if got != [0; N] {
+                    firing.push((slice.round, d, got));
+                }
+            }
+        }
+        assert_eq!(last, Some(stream.total_rounds() - 1));
+        assert!(seen.iter().all(|&s| s), "every detector emitted once");
+
+        stream.begin_wide(&mut rngs::<N>(seed), lanes);
+        let mut events = Vec::new();
+        let mut last = None;
+        while let Some(event) = stream.next_event() {
+            assert!(last < Some(event.round), "events must ascend");
+            last = Some(event.round);
+            assert!(
+                !event.detectors.is_empty(),
+                "only firing rounds are emitted"
+            );
+            for (i, &d) in event.detectors.iter().enumerate() {
+                let row: [u64; N] = std::array::from_fn(|j| event.words_of(j)[i]);
+                events.push((event.round, d, row));
+            }
+        }
+        assert_eq!(events, firing, "seed {seed}: events are the firing rows");
+    }
+
     #[test]
     fn rounds_partition_all_detectors() {
         let m = model(3, 4, 1e-2);
         let stream = RoundStream::new(&m);
         assert_eq!(stream.total_rounds(), 5);
-        assert_eq!(*stream.round_start.last().unwrap(), m.num_detectors);
+        let mut buf = Vec::new();
+        let mut all: Vec<u32> = (0..5)
+            .flat_map(|r| stream.source.detectors(r, &mut buf).to_vec())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..m.num_detectors as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn replay_reconstructs_the_batch_exactly() {
         let m = model(3, 5, 0.03);
         let mut stream = RoundStream::new(&m);
-        // Reference batch with the same seed.
-        let sampler = m.batch_sampler();
-        let mut ref_rng = StdRng::seed_from_u64(99);
-        let mut reference = BitBatch::zeros(m.num_detectors);
-        let ref_obs = sampler.sample_into(&mut ref_rng, &mut reference);
-        let mut rng = StdRng::seed_from_u64(99);
-        stream.begin(&mut rng, 64);
-        assert_eq!(stream.true_observables(), ref_obs);
-        let mut seen = vec![false; m.num_detectors];
-        let mut last_round = None;
-        while let Some(slice) = stream.next_round() {
-            assert!(last_round < Some(slice.round), "rounds must ascend");
-            last_round = Some(slice.round);
-            for (&d, &w) in slice.detectors.iter().zip(slice.words) {
-                assert_eq!(m.detector_rounds[d as usize], slice.round);
-                assert_eq!(w, reference.word(d as usize), "detector {d}");
-                assert!(!seen[d as usize], "detector {d} emitted twice");
-                seen[d as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every detector emitted once");
+        let oracle = scalar_oracle(&m.batch_sampler(), 99, 64);
+        assert_replays(&mut stream, oracle, &m.detector_rounds, 99, 64);
     }
 
     #[test]
     fn sparse_stream_matches_dense_stream_bit_for_bit() {
         let m = model(3, 6, 1e-3);
-        let mut dense = RoundStream::new(&m);
-        let mut sparse = SparseRoundStream::new(&m);
-        assert_eq!(sparse.total_rounds(), dense.total_rounds());
+        let sampler = m.batch_sampler();
+        let mut stream = SparseRoundStream::new(&m);
         for (seed, lanes) in [(99u64, 64usize), (7, 64), (13, 5)] {
-            let mut dense_rng = StdRng::seed_from_u64(seed);
-            let mut sparse_rng = StdRng::seed_from_u64(seed);
-            dense.begin(&mut dense_rng, lanes);
-            sparse.begin(&mut sparse_rng, lanes);
-            assert_eq!(sparse.lanes(), lanes);
-            assert_eq!(sparse.true_observables(), dense.true_observables());
-            let mut last = None;
-            while let Some(slice) = dense.next_round() {
-                let firing: Vec<(u32, u64)> = slice
-                    .detectors
-                    .iter()
-                    .zip(slice.words)
-                    .filter(|&(_, &w)| w != 0)
-                    .map(|(&d, &w)| (d, w))
-                    .collect();
-                if firing.is_empty() {
-                    continue; // silent rounds are never emitted sparsely
-                }
-                let event = sparse.next_event().expect("firing round must be emitted");
-                assert!(last < Some(event.round), "events must ascend");
-                last = Some(event.round);
-                assert_eq!(event.round, slice.round);
-                let got: Vec<(u32, u64)> = event
-                    .detectors
-                    .iter()
-                    .zip(event.words)
-                    .map(|(&d, &w)| (d, w))
-                    .collect();
-                assert_eq!(got, firing, "round {}", slice.round);
-            }
-            assert!(sparse.next_event().is_none(), "no spurious events");
-            // Both paths left their RNGs in the same state.
-            assert_eq!(dense_rng.gen::<u64>(), sparse_rng.gen::<u64>());
+            let oracle = scalar_oracle(&sampler, seed, lanes);
+            let obs = oracle.obs[0];
+            assert_replays(&mut stream, oracle, &m.detector_rounds, seed, lanes);
+            stream.begin(&mut StdRng::seed_from_u64(seed), lanes);
+            assert_eq!(stream.true_observables(), obs);
         }
     }
 
     #[test]
     fn wide_stream_replays_base_streams_bit_for_bit() {
+        // Sub-word j of a 256-lane stream is the 64-lane `sample_into`
+        // batch of seed stream j; inactive sub-words stay silent.
         let m = model(3, 5, 1e-3);
+        let sampler = m.batch_sampler();
         let mut wide = WideRoundStream::<4>::new(&m);
         for &lanes in &[256usize, 140, 64] {
-            let mut rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(55 + j as u64));
-            wide.begin(&mut rngs, lanes);
+            wide.begin_wide(&mut rngs::<4>(55), lanes);
             let active = lanes.div_ceil(64);
             assert_eq!(wide.active_words(), active);
-            // Base replays of each sub-word's stream from its own seed.
-            let mut bases: Vec<RoundStream> = (0..active).map(|_| RoundStream::new(&m)).collect();
-            for (j, base) in bases.iter_mut().enumerate() {
-                let mut rng = StdRng::seed_from_u64(55 + j as u64);
-                base.begin(&mut rng, (lanes - 64 * j).min(64));
+            let bases: Vec<Oracle<1>> = (0..active)
+                .map(|j| scalar_oracle(&sampler, 55 + j as u64, (lanes - 64 * j).min(64)))
+                .collect();
+            for (j, base) in bases.iter().enumerate() {
                 assert_eq!(
-                    wide.true_observables()[j],
-                    base.true_observables(),
+                    wide.true_observables_wide()[j],
+                    base.obs[0],
                     "lanes {lanes} word {j}"
                 );
             }
             while let Some(slice) = wide.next_round() {
-                assert_eq!(slice.width(), 4);
-                for (j, base) in bases.iter_mut().enumerate() {
-                    let base_slice = base.next_round().expect("same round count");
-                    assert_eq!(base_slice.round, slice.round);
-                    assert_eq!(base_slice.detectors, slice.detectors);
+                for (j, base) in bases.iter().enumerate() {
+                    let want: Vec<u64> = slice
+                        .detectors
+                        .iter()
+                        .map(|&d| base.batch.word(d as usize))
+                        .collect();
                     assert_eq!(
-                        base_slice.words,
                         slice.words_of(j),
-                        "lanes {lanes} round {} word {j}",
+                        want,
+                        "lanes {lanes} round {}",
                         slice.round
                     );
                 }
-            }
-            for base in bases.iter_mut() {
-                assert!(base.next_round().is_none(), "wide stream ended early");
+                for j in active..4 {
+                    assert!(slice.words_of(j).iter().all(|&w| w == 0));
+                }
             }
         }
     }
@@ -1034,44 +693,11 @@ mod tests {
     #[test]
     fn wide_sparse_stream_matches_wide_dense_stream() {
         let m = model(3, 6, 1e-3);
-        let mut dense = WideRoundStream::<4>::new(&m);
-        let mut sparse = WideSparseRoundStream::<4>::new(&m);
-        assert_eq!(sparse.total_rounds(), dense.total_rounds());
+        let sampler = m.batch_sampler();
+        let mut stream = WideSparseRoundStream::<4>::new(&m);
         for (seed, lanes) in [(99u64, 256usize), (7, 256), (13, 130)] {
-            let mut dense_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            let mut sparse_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            dense.begin(&mut dense_rngs, lanes);
-            sparse.begin(&mut sparse_rngs, lanes);
-            assert_eq!(sparse.lanes(), lanes);
-            assert_eq!(sparse.true_observables(), dense.true_observables());
-            let mut last = None;
-            while let Some(slice) = dense.next_round() {
-                // A round is an event iff any sub-word fired.
-                let firing: Vec<(u32, [u64; 4])> = slice
-                    .detectors
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (d, std::array::from_fn(|j| slice.words_of(j)[i])))
-                    .filter(|&(_, row)| row != [0; 4])
-                    .collect();
-                if firing.is_empty() {
-                    continue;
-                }
-                let event = sparse.next_event().expect("firing round must be emitted");
-                assert!(last < Some(event.round), "events must ascend");
-                last = Some(event.round);
-                assert_eq!(event.round, slice.round);
-                let got: Vec<(u32, [u64; 4])> = event
-                    .detectors
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (d, std::array::from_fn(|j| event.words_of(j)[i])))
-                    .collect();
-                assert_eq!(got, firing, "round {}", slice.round);
-            }
-            assert!(sparse.next_event().is_none(), "no spurious events");
+            let oracle = wide_oracle::<4>(&sampler, seed, lanes);
+            assert_replays(&mut stream, oracle, &m.detector_rounds, seed, lanes);
         }
     }
 
@@ -1099,124 +725,43 @@ mod tests {
         (mono, Arc::new(per))
     }
 
+    /// A stream over the periodic template replays the dense batch of
+    /// the equivalent monolithic model's sampler.
+    fn assert_periodic_replays<const N: usize>(rounds: u32, p: f64, cases: &[(u64, usize)]) {
+        let (mono, per) = periodic_pair(rounds, p);
+        let sampler = mono.model.batch_sampler();
+        let mut stream = WideRoundStream::<N>::for_periodic(per);
+        assert_eq!(stream.total_rounds(), mono.model.total_rounds());
+        for &(seed, lanes) in cases {
+            let oracle = wide_oracle::<N>(&sampler, seed, lanes);
+            assert_replays(
+                &mut stream,
+                oracle,
+                &mono.model.detector_rounds,
+                seed,
+                lanes,
+            );
+        }
+    }
+
     #[test]
     fn periodic_sparse_stream_matches_monolithic_bit_for_bit() {
-        let (mono, per) = periodic_pair(48, 1e-3);
-        let mut m = SparseRoundStream::for_timeline(&mono);
-        let mut p = SparseRoundStream::for_periodic(Arc::clone(&per));
-        assert_eq!(p.total_rounds(), m.total_rounds());
-        assert_eq!(p.deformation_rounds(), m.deformation_rounds());
-        for (seed, lanes) in [(99u64, 64usize), (7, 64), (13, 5)] {
-            let mut mono_rng = StdRng::seed_from_u64(seed);
-            let mut per_rng = StdRng::seed_from_u64(seed);
-            m.begin(&mut mono_rng, lanes);
-            p.begin(&mut per_rng, lanes);
-            assert_eq!(p.lanes(), lanes);
-            assert_eq!(p.true_observables(), m.true_observables(), "seed {seed}");
-            loop {
-                match (m.next_event(), p.next_event()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.round, b.round, "seed {seed}");
-                        assert_eq!(a.detectors, b.detectors, "round {}", a.round);
-                        assert_eq!(a.words, b.words, "round {}", a.round);
-                    }
-                    _ => panic!("event streams diverged at seed {seed}"),
-                }
-            }
-            // Both paths left their RNGs in the same state.
-            assert_eq!(mono_rng.gen::<u64>(), per_rng.gen::<u64>());
-        }
+        assert_periodic_replays::<1>(48, 1e-3, &[(99, 64), (7, 64), (13, 5)]);
     }
 
     #[test]
     fn periodic_dense_streams_match_monolithic() {
-        let (mono, per) = periodic_pair(40, 0.02);
-        let mut m = RoundStream::for_timeline(&mono);
-        let mut p = RoundStream::for_periodic(&per);
-        assert_eq!(p.total_rounds(), m.total_rounds());
-        let mut mono_rng = StdRng::seed_from_u64(11);
-        let mut per_rng = StdRng::seed_from_u64(11);
-        m.begin(&mut mono_rng, 64);
-        p.begin(&mut per_rng, 64);
-        assert_eq!(p.true_observables(), m.true_observables());
-        loop {
-            match (m.next_round(), p.next_round()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.round, b.round);
-                    assert_eq!(a.detectors, b.detectors, "round {}", a.round);
-                    assert_eq!(a.words, b.words, "round {}", a.round);
-                }
-                _ => panic!("round streams diverged"),
-            }
-        }
-        assert_eq!(mono_rng.gen::<u64>(), per_rng.gen::<u64>());
+        assert_periodic_replays::<1>(40, 0.02, &[(11, 64)]);
     }
 
     #[test]
     fn periodic_wide_sparse_stream_matches_monolithic() {
-        let (mono, per) = periodic_pair(48, 1e-3);
-        let mut m = WideSparseRoundStream::<4>::for_timeline(&mono);
-        let mut p = WideSparseRoundStream::<4>::for_periodic(Arc::clone(&per));
-        assert_eq!(p.total_rounds(), m.total_rounds());
-        for (seed, lanes) in [(99u64, 256usize), (7, 130), (13, 64)] {
-            let mut mono_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            let mut per_rngs: [StdRng; 4] =
-                std::array::from_fn(|j| StdRng::seed_from_u64(seed + j as u64));
-            m.begin(&mut mono_rngs, lanes);
-            p.begin(&mut per_rngs, lanes);
-            assert_eq!(p.lanes(), lanes);
-            assert_eq!(p.true_observables(), m.true_observables(), "seed {seed}");
-            loop {
-                match (m.next_event(), p.next_event()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.round, b.round, "seed {seed}");
-                        assert_eq!(a.detectors, b.detectors, "round {}", a.round);
-                        for j in 0..4 {
-                            assert_eq!(a.words_of(j), b.words_of(j), "round {} word {j}", a.round);
-                        }
-                    }
-                    _ => panic!("event streams diverged at seed {seed}"),
-                }
-            }
-            for j in 0..4 {
-                assert_eq!(
-                    mono_rngs[j].gen::<u64>(),
-                    per_rngs[j].gen::<u64>(),
-                    "seed {seed} word {j}"
-                );
-            }
-        }
+        assert_periodic_replays::<4>(48, 1e-3, &[(99, 256), (7, 130), (13, 64)]);
     }
 
     #[test]
     fn periodic_wide_dense_stream_matches_monolithic() {
-        let (mono, per) = periodic_pair(40, 5e-3);
-        let mut m = WideRoundStream::<2>::for_timeline(&mono);
-        let mut p = WideRoundStream::<2>::for_periodic(&per);
-        let mut mono_rngs: [StdRng; 2] =
-            std::array::from_fn(|j| StdRng::seed_from_u64(3 + j as u64));
-        let mut per_rngs: [StdRng; 2] =
-            std::array::from_fn(|j| StdRng::seed_from_u64(3 + j as u64));
-        m.begin(&mut mono_rngs, 128);
-        p.begin(&mut per_rngs, 128);
-        assert_eq!(p.true_observables(), m.true_observables());
-        loop {
-            match (m.next_round(), p.next_round()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.round, b.round);
-                    assert_eq!(a.detectors, b.detectors);
-                    for j in 0..2 {
-                        assert_eq!(a.words_of(j), b.words_of(j), "round {} word {j}", a.round);
-                    }
-                }
-                _ => panic!("round streams diverged"),
-            }
-        }
+        assert_periodic_replays::<2>(40, 5e-3, &[(3, 128)]);
     }
 
     #[test]

@@ -713,11 +713,6 @@ impl TimelineModel {
         self.epoch_starts.len()
     }
 
-    /// The rounds at which the geometry changes.
-    pub fn deformation_rounds(&self) -> &[u32] {
-        &self.epoch_starts[1..]
-    }
-
     /// Re-slices the global graph into per-epoch pieces for
     /// [`surf_matching::WindowedDecoder::from_epochs`] — each edge lives
     /// in the epoch owning its later endpoint, so boundary (merge)

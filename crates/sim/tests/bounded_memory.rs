@@ -10,6 +10,11 @@
 //! to it (or any per-round table sneaking back into the session) shows
 //! up as a ~10× jump and fails the factor-2 bound loudly.
 //!
+//! The same holds for the session's syndrome stream: replaying every round
+//! of a 10⁵-round batch (`next_round`) must stay within 2× of replaying its
+//! firing rounds only (`next_event`), so the dense replay never expands the
+//! periodic template into per-round tables.
+//!
 //! The allocator is global to the test binary, so this file holds a
 //! single `#[test]` — concurrent tests would pollute the high-water
 //! mark.
@@ -17,11 +22,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use surf_defects::DefectMap;
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::{Basis, Patch};
 use surf_matching::WindowConfig;
-use surf_sim::SessionConfig;
+use surf_sim::{DecodeSession, SessionConfig};
 
 /// Tracks live heap bytes and their high-water mark.
 struct HighWaterAlloc;
@@ -69,19 +76,30 @@ unsafe impl GlobalAlloc for HighWaterAlloc {
 #[global_allocator]
 static GLOBAL: HighWaterAlloc = HighWaterAlloc;
 
-/// Compiles a sparse session over `horizon` rounds, drives it end to
-/// end (two deterministic defect rounds, silence elsewhere) and returns
-/// the high-water mark of live bytes allocated along the way.
-fn session_high_water(horizon: u32) -> usize {
-    let config = SessionConfig::new(
+/// A sparse session config over `horizon` rounds.
+fn sparse_config(horizon: u32) -> SessionConfig {
+    SessionConfig::new(
         PatchTimeline::fixed(Patch::rotated(3), DefectMap::new()),
         Basis::Z,
         horizon,
     )
     .with_window(WindowConfig::new(6))
-    .with_sparse(true);
+    .with_sparse(true)
+}
+
+/// Starts a high-water measurement; returns the live-byte baseline.
+fn start_measuring() -> usize {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
+    base
+}
+
+/// Compiles a sparse session over `horizon` rounds, drives it end to
+/// end (two deterministic defect rounds, silence elsewhere) and returns
+/// the high-water mark of live bytes allocated along the way.
+fn session_high_water(horizon: u32) -> usize {
+    let config = sparse_config(horizon);
+    let base = start_measuring();
     let mut session = config.open(64);
     // A couple of firing rounds keep the decoder honest: plans resolve,
     // windows decode, corrections commit — all inside the measured span.
@@ -104,6 +122,31 @@ fn session_high_water(horizon: u32) -> usize {
     PEAK.load(Ordering::Relaxed).saturating_sub(base)
 }
 
+/// Samples one 64-lane batch from `session`'s stream at a fixed seed,
+/// drains it every round (`dense`) or firing rounds only, and returns the
+/// high-water mark of live bytes allocated along the way.
+fn stream_high_water(session: &DecodeSession, dense: bool) -> usize {
+    let base = start_measuring();
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut emitted = 0;
+    if dense {
+        let mut stream = session.round_stream();
+        stream.begin(&mut rng, 64);
+        while stream.next_round().is_some() {
+            emitted += 1;
+        }
+        assert_eq!(emitted, session.total_rounds(), "every round emitted");
+    } else {
+        let mut stream = session.sparse_round_stream();
+        stream.begin(&mut rng, 64);
+        while stream.next_event().is_some() {
+            emitted += 1;
+        }
+        assert!(emitted > 0, "a 64-lane 10^5-round batch fires");
+    }
+    PEAK.load(Ordering::Relaxed).saturating_sub(base)
+}
+
 #[test]
 fn sparse_session_memory_does_not_scale_with_horizon() {
     // Warm-up: one-time lazy state (thread locals, runtime tables) must
@@ -116,5 +159,17 @@ fn sparse_session_memory_does_not_scale_with_horizon() {
         "10^5-round session high-water ({long} B) must stay within 2x the \
          10^4-round one ({short} B): resident model memory is O(epochs + \
          window), not O(rounds)"
+    );
+
+    let session = sparse_config(100_000).open(64);
+    let _ = stream_high_water(&session, false);
+    let events = stream_high_water(&session, false);
+    let rounds = stream_high_water(&session, true);
+    assert!(
+        rounds < events.saturating_mul(2),
+        "draining every round of a 10^5-round batch ({rounds} B) must stay \
+         within 2x of draining its firing rounds ({events} B): the dense \
+         replay zero-fills from the round layout instead of expanding the \
+         periodic template"
     );
 }

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use surf_service::{Daemon, DaemonConfig, ServiceClient, SessionSpec};
     pub use surf_sim::{
         Availability, BatchSampler, DecodeSession, DecoderKind, DecoderPrior, DetectorRemap,
-        LaneWidth, MemoryExperiment, NoiseParams, RoundStream, SessionConfig, SessionOutput, Shard,
-        StreamConfig, TimelineModel, WideRoundStream, WideSparseRoundStream,
+        LaneWidth, MemoryExperiment, NoiseParams, RoundSlice, RoundStream, SessionConfig,
+        SessionOutput, Shard, StreamConfig, TimelineModel, WideRoundStream,
     };
 }
