@@ -1,17 +1,17 @@
-//! Criterion micro-benchmarks for sparse event-driven streaming: the
+//! Criterion micro-benchmarks for event-driven streaming: the
 //! rounds-per-second of a long d=5 stream through a freshly built
-//! windowed decoder, dense (eager per-window backends, every window
-//! decoded) vs sparse (lazy structurally-shared plans, clean windows
-//! fast-forwarded), plus the worst-case per-window commit latency in
-//! sparse mode.
+//! windowed decoder, fed every round (`dense_feed`) vs fed only its firing
+//! rounds with silent stretches skipped in bulk (`event_feed`), plus the
+//! worst-case per-window commit latency of a pre-built decoder.
 //!
-//! The dense column pays what the pre-sparse pipeline paid on a fresh
-//! horizon: one backend build per window up front, one backend decode
-//! per window while streaming. The sparse column builds a handful of
-//! structurally distinct backends on demand and, at low lane counts,
-//! skips the mostly-clean windows outright — the ≥10× rounds/sec gap
-//! that makes 10⁵-round availability sweeps tractable.
+//! Both feeds share one decoder path: lazily resolved, structurally
+//! shared window plans, and clean windows fast-forwarded without touching
+//! the backend. The dense feed pays one push per round and, at 64 lanes,
+//! decodes nearly every window; the event feed jumps from event to event,
+//! which at low lane counts skips the mostly-clean windows outright — the
+//! gap that makes 10⁵-round availability sweeps tractable.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,9 +26,7 @@ use surf_sim::{
 };
 
 const D: usize = 5;
-/// Long enough that the eager path's quadratic construction cost (every
-/// window build scans the full O(rounds) graph) dominates — the regime
-/// the 10⁵-round availability sweeps live in.
+/// A long horizon: hundreds of windows, a handful of distinct shapes.
 const ROUNDS: u32 = 2048;
 
 fn decoding_model(rounds: u32) -> DetectorModel {
@@ -37,84 +35,85 @@ fn decoding_model(rounds: u32) -> DetectorModel {
     DetectorModel::build(&patch, Basis::Z, rounds, &noise, DecoderPrior::Informed)
 }
 
-fn build(model: &DetectorModel, sparse: bool) -> WindowedDecoder {
-    let construct = if sparse {
-        WindowedDecoder::sparse
-    } else {
-        WindowedDecoder::new
-    };
-    construct(
+fn build(model: &DetectorModel) -> Arc<WindowedDecoder> {
+    Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         1,
         WindowConfig::new(2 * D as u32),
         DecoderKind::Mwpm.factory(),
-    )
+    ))
 }
 
-/// Streams the whole horizon once: build the decoder, feed every round,
-/// finish. Dense eagerly compiles ~`ROUNDS / d` MWPM backends and runs
-/// each window through one; sparse compiles the few structurally
-/// distinct windows and fast-forwards clean ones.
+/// Streams the whole horizon once: build the decoder, feed it, finish.
+/// Building inside the timed loop charges each run its plan resolution.
 fn bench_rounds_per_sec(c: &mut Criterion) {
     let model = decoding_model(ROUNDS);
     let mut group = c.benchmark_group("sparse_streaming_rounds_per_sec");
     group.sample_size(10);
     for lanes in [1usize, 64] {
-        group.bench_with_input(BenchmarkId::new("dense", lanes), &lanes, |b, &lanes| {
-            let mut stream = RoundStream::new(&model);
-            let mut rng = StdRng::seed_from_u64(31);
-            b.iter(|| {
-                let decoder = std::sync::Arc::new(build(&model, false));
-                stream.begin(&mut rng, lanes);
-                let mut session = decoder.into_session(lanes);
-                while let Some(slice) = stream.next_round() {
-                    session.push_round(slice.round, slice.detectors, slice.words);
-                }
-                std::hint::black_box(session.finish());
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("sparse", lanes), &lanes, |b, &lanes| {
-            let mut events = SparseRoundStream::new(&model);
-            let mut rng = StdRng::seed_from_u64(31);
-            b.iter(|| {
-                let decoder = std::sync::Arc::new(build(&model, true));
-                events.begin(&mut rng, lanes);
-                let total = events.total_rounds();
-                let mut session = decoder.into_session(lanes);
-                let mut filled = 0u32;
-                while let Some(event) = events.next_event() {
-                    if event.round > filled {
-                        session.advance_silent(event.round - filled);
+        group.bench_with_input(
+            BenchmarkId::new("dense_feed", lanes),
+            &lanes,
+            |b, &lanes| {
+                let mut stream = RoundStream::new(&model);
+                let mut rng = StdRng::seed_from_u64(31);
+                b.iter(|| {
+                    let decoder = build(&model);
+                    stream.begin(&mut rng, lanes);
+                    let mut session = decoder.session(lanes);
+                    while let Some(slice) = stream.next_round() {
+                        session.push_round(slice.round, slice.detectors, slice.words);
                     }
-                    session.push_round(event.round, event.detectors, event.words);
-                    filled = event.round + 1;
-                }
-                if filled < total {
-                    session.advance_silent(total - filled);
-                }
-                std::hint::black_box(session.finish());
-            });
-        });
+                    std::hint::black_box(session.finish());
+                });
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("event_feed", lanes),
+            &lanes,
+            |b, &lanes| {
+                let mut events = SparseRoundStream::new(&model);
+                let mut rng = StdRng::seed_from_u64(31);
+                b.iter(|| {
+                    let decoder = build(&model);
+                    events.begin(&mut rng, lanes);
+                    let total = events.total_rounds();
+                    let mut session = decoder.session(lanes);
+                    let mut filled = 0u32;
+                    while let Some(event) = events.next_event() {
+                        if event.round > filled {
+                            session.advance_silent(event.round - filled);
+                        }
+                        session.push_round(event.round, event.detectors, event.words);
+                        filled = event.round + 1;
+                    }
+                    if filled < total {
+                        session.advance_silent(total - filled);
+                    }
+                    std::hint::black_box(session.finish());
+                });
+            },
+        );
     }
     group.finish();
 }
 
 /// Worst-case wall-clock of the single push that completes (and decodes)
 /// one window — the real-time latency bound — through a pre-built
-/// decoder, dense vs sparse. Sparse must never regress the bound: a
-/// dirty window decodes through the same backend; a clean one commits
-/// in O(1).
+/// decoder fed every round. A dirty window decodes through its shared
+/// backend; a clean one commits in O(1).
 fn bench_worst_commit_latency(c: &mut Criterion) {
     let rounds = 200u32;
     let model = decoding_model(rounds);
     let mut group = c.benchmark_group("sparse_commit_latency");
-    for sparse in [false, true] {
-        let decoder = build(&model, sparse);
-        let label = if sparse { "sparse" } else { "dense" };
-        let mut stream = RoundStream::new(&model);
-        let mut rng = StdRng::seed_from_u64(17);
-        group.bench_with_input(BenchmarkId::new("worst_commit", label), &(), |b, _| {
+    let decoder = build(&model);
+    let mut stream = RoundStream::new(&model);
+    let mut rng = StdRng::seed_from_u64(17);
+    group.bench_with_input(
+        BenchmarkId::new("worst_commit", "dense_feed"),
+        &(),
+        |b, _| {
             b.iter(|| {
                 stream.begin(&mut rng, 64);
                 let mut session = decoder.session(64);
@@ -131,8 +130,8 @@ fn bench_worst_commit_latency(c: &mut Criterion) {
                 std::hint::black_box(session.finish());
                 std::hint::black_box(worst)
             });
-        });
-    }
+        },
+    );
     group.finish();
 }
 

@@ -3,6 +3,7 @@
 //! and the per-window commit latency as a function of window size (the
 //! metric a real-time decoder must keep below the round cadence).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -21,14 +22,40 @@ fn decoding_model(d: usize, rounds: u32) -> DetectorModel {
     DetectorModel::build(&patch, Basis::Z, rounds, &noise, DecoderPrior::Informed)
 }
 
-fn windowed(model: &DetectorModel, window: u32) -> WindowedDecoder {
-    WindowedDecoder::new(
+fn windowed(model: &DetectorModel, window: u32) -> Arc<WindowedDecoder> {
+    Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         1,
         WindowConfig::new(window),
         DecoderKind::Mwpm.factory(),
-    )
+    ))
+}
+
+/// Detector ids of each round, ascending: the round-major feed order.
+fn round_layout(model: &DetectorModel) -> Vec<Vec<u32>> {
+    let mut layout = vec![Vec::new(); model.total_rounds() as usize];
+    for (det, &round) in model.detector_rounds.iter().enumerate() {
+        layout[round as usize].push(det as u32);
+    }
+    layout
+}
+
+/// Feeds one pre-sampled whole-history batch round by round through a
+/// fresh session and returns its per-lane committed observables.
+fn stream_batch(
+    streamer: &Arc<WindowedDecoder>,
+    layout: &[Vec<u32>],
+    batch: &BitBatch,
+    words: &mut Vec<u64>,
+) -> Vec<u64> {
+    let mut session = streamer.session(batch.lanes());
+    for (round, detectors) in layout.iter().enumerate() {
+        words.clear();
+        words.extend(detectors.iter().map(|&d| batch.words()[d as usize]));
+        session.push_round(round as u32, detectors, words);
+    }
+    session.finish()
 }
 
 /// Full-batch decode vs streamed (round-major feed + windowed decode) on
@@ -57,6 +84,8 @@ fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
                 }
             });
         });
+        let layout = round_layout(&model);
+        let mut words = Vec::new();
         for window in [2 * d as u32, rounds + 1] {
             let streamer = windowed(&model, window);
             let label = if window > rounds {
@@ -67,8 +96,7 @@ fn bench_streamed_vs_batch_throughput(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, d), &d, |b, _| {
                 b.iter(|| {
                     for batch in &batches {
-                        streamer.decode_batch(batch, &mut predictions);
-                        std::hint::black_box(&predictions);
+                        std::hint::black_box(stream_batch(&streamer, &layout, batch, &mut words));
                     }
                 });
             });

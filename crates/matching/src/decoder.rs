@@ -48,10 +48,6 @@ pub struct DecodeWorkspace {
     pub(crate) wide_stage: BitBatch,
     /// Per-sub-word prediction scratch for wide-batch decoding.
     pub(crate) wide_predictions: Vec<u64>,
-    /// Cached whole-history session core for
-    /// [`WindowedDecoder`](crate::WindowedDecoder) batch decodes: built on
-    /// first use, then reset (allocation-preserving) per call.
-    pub(crate) windowed: Option<Box<crate::windowed::SessionCore>>,
 }
 
 /// A syndrome decoder over a [`DecodingGraph`].

@@ -53,7 +53,4 @@ pub use graph::{xor_probability, DecodingGraph, Edge};
 pub use mwpm::{MwpmDecoder, MwpmScratch};
 pub use source::{RoundModelSource, SourceEdge};
 pub use unionfind::{UfScratch, UnionFindDecoder};
-pub use windowed::{
-    DecoderFactory, GraphEpoch, OwnedWindowedSession, WindowConfig, WindowedDecoder,
-    WindowedSession,
-};
+pub use windowed::{DecoderFactory, GraphEpoch, WindowConfig, WindowedDecoder, WindowedSession};

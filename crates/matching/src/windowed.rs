@@ -36,63 +36,69 @@
 //! bit-identical — while `w = rounds` reduces exactly to the inner
 //! decoder and `w = 1` degenerates to greedy round-by-round commitment.
 //!
-//! # Sparse mode
+//! # One plan path
 //!
-//! [`WindowedDecoder::sparse`] / [`from_epochs_sparse`]
-//! (WindowedDecoder::from_epochs_sparse) build the same decoder in an
-//! event-driven shape for very long, mostly-silent streams (the 10⁵–10⁶
-//! round availability horizons of the cosmic-ray ride-through scenario):
+//! Every decoder serves its windows from a [`RoundModelSource`]: a
+//! materialised graph ([`new`](WindowedDecoder::new),
+//! [`from_epochs`](WindowedDecoder::from_epochs)) is wrapped in a
+//! round-indexed graph source, and a periodic model is passed directly
+//! ([`from_source`](WindowedDecoder::from_source)). On top of that one
+//! source, the decoder is built for very long, mostly-silent streams (the
+//! 10⁵–10⁶ round availability horizons of the cosmic-ray ride-through
+//! scenario) without costing dense feeds anything:
 //!
-//! * **Lazy window plans.** Window sub-graphs and inner decoders are built
-//!   on first use instead of eagerly for every window, and windows whose
-//!   instrumented sub-graphs are structurally identical (the steady state
-//!   between geometry epochs — almost all of a long stream) *share* one
-//!   inner decoder. A 10⁵-round session compiles a handful of backends
-//!   instead of tens of thousands.
+//! * **Lazy window plans.** A window's sub-graph and inner decoder are
+//!   built on first use, and windows whose instrumented sub-graphs are
+//!   structurally identical (the steady state between geometry epochs —
+//!   almost all of a long stream) *share* one inner decoder. A 10⁵-round
+//!   session compiles a handful of backends instead of tens of thousands.
+//! * **Plan memo.** Resolved plans are kept by window index and shared by
+//!   every session of the decoder, so sibling sessions over one horizon
+//!   resolve each window once. Once the memo holds 1024 plans, the
+//!   resolving session drops every plan below its own commit frontier; a
+//!   lagging session that still needs one re-resolves its (cheap) shell
+//!   over the same shared backend, so eviction never changes a result.
 //! * **Fast-forward.** Sessions track which rounds have ever seen a
 //!   nonzero defect word (including carry targets). A ready window whose
 //!   rounds are all clean must decode to an empty matching with zero
 //!   observable flips, so it is committed trivially without touching the
-//!   backend — the skip is *exact*, not approximate. Dense-built decoders
-//!   never skip, so the eager path remains a bit-identical baseline.
-//! * **Bulk advance.** [`WindowedSession::advance_silent`] /
-//!   [`OwnedWindowedSession::advance_silent`] feed `n` defect-free rounds
-//!   in one call, letting sparse samplers jump from event to event in
-//!   O(windows touched) instead of O(rounds).
+//!   backend — the skip is *exact*, not approximate.
+//! * **Bulk advance.** [`WindowedSession::advance_silent`] feeds `n`
+//!   defect-free rounds in one call, letting sparse samplers jump from
+//!   event to event in O(windows touched) instead of O(rounds).
+//! * **Bounded sessions.** A session keeps its defect and dirty state
+//!   only for in-flight rounds, pruned at the commit frontier, so its
+//!   resident memory is O(in-flight windows + events), independent of
+//!   the horizon.
 //!
-//! Both modes run the identical window assembly and decode sequence, so
-//! eager and sparse decoders agree bit for bit on every stream (see the
-//! `sparse_*` tests below); the eager path additionally surfaces carry-bit
-//! overflow at construction time, while the sparse path surfaces it on
-//! first decode of the offending window.
-//!
-//! # Virtual mode
-//!
-//! [`WindowedDecoder::virtual_source`] goes one step further for
-//! unbounded horizons: instead of a pre-materialised graph + round table
-//! (O(rounds) memory before the first shot), the decoder holds a
-//! [`RoundModelSource`] and builds each window's detectors and candidate
-//! edges on demand. Sessions keep their defect and dirty state in sparse
-//! maps pruned at the commit frontier, so a virtual session's resident
-//! memory is O(in-flight windows + events), independent of the horizon.
-//! Virtual decoders are session-only: the whole-history [`Decoder`] entry
-//! points ([`graph`](Decoder::graph), [`decode`](Decoder::decode),
-//! [`decode_batch`](Decoder::decode_batch)) panic, because the full graph
-//! is never materialised. Window assembly replays the identical edge
-//! sequence the materialised sparse path would visit, so committed
-//! results stay bit-identical.
+//! Decoders serve *sessions only*: there is no whole-history decode entry
+//! point, since the full graph of a periodic source is never materialised.
+//! A caller holding a whole syndrome history runs the inner backend on the
+//! full graph directly, or streams the history through a session.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use surf_pauli::BitBatch;
 
 use crate::decoder::{DecodeWorkspace, Decoder};
 use crate::graph::DecodingGraph;
-use crate::source::{RoundModelSource, SourceEdge};
+use crate::source::{GraphSource, RoundModelSource, SourceEdge};
 
 /// Factory building the inner decoder backend over each window sub-graph.
 pub type DecoderFactory = Box<dyn Fn(DecodingGraph) -> Box<dyn Decoder> + Send + Sync>;
+
+/// Resolved window plans a decoder keeps before a resolving session drops
+/// the ones below its commit frontier (see the module docs). Large enough
+/// to hold every window of a few-thousand-round horizon, so sibling
+/// sessions over one compiled model never re-resolve a window; small
+/// enough that a 10⁶-round stream keeps a bounded memo.
+const PLAN_MEMO_CAP: usize = 1024;
+
+/// A plan resolution panics only on a carry-bit overflow, which leaves
+/// the window undecodable for every session alike.
+const POISONED: &str = "plan table poisoned by a panicking plan resolution";
 
 /// One geometry epoch's share of a spliced decoding graph: a
 /// locally-indexed sub-graph plus the translation of its local detector
@@ -154,8 +160,8 @@ impl WindowConfig {
 }
 
 /// One window's bookkeeping: its sub-graph decoder (possibly shared with
-/// structurally identical windows in sparse mode) plus the translation
-/// between global detectors and window-local node ids.
+/// structurally identical windows) plus the translation between global
+/// detectors and window-local node ids.
 struct WindowPlan {
     /// Window detectors in global ids; local node `i` = `globals[i]`.
     globals: Vec<u32>,
@@ -167,56 +173,31 @@ struct WindowPlan {
     carries: Vec<(u32, u32)>,
 }
 
-/// Where window plans come from: built eagerly up front (dense mode),
-/// resolved on demand with structural decoder sharing (sparse mode), or
-/// assembled from a [`RoundModelSource`] (virtual mode, no materialised
-/// graph at all).
-enum PlanStore {
-    Eager(Vec<Arc<WindowPlan>>),
-    Lazy(Mutex<PlanTable>),
-    Virtual(Mutex<VirtualTable>),
-}
-
-/// The lazy-plan state behind virtual mode: like [`PlanTable`] but with
-/// no detector index — windows ask the model source instead.
-struct VirtualTable {
-    factory: DecoderFactory,
-    resolved: HashMap<usize, Arc<WindowPlan>>,
-    canon: Vec<Arc<dyn Decoder>>,
-}
-
-/// The lazy-plan state behind sparse mode.
+/// The lazily filled plan state shared by every session of a decoder.
 struct PlanTable {
     factory: DecoderFactory,
-    /// Plans already resolved, keyed by window index. Committed entries
-    /// are evicted once every live session's commit frontier passes them,
-    /// so the table stays O(in-flight windows) on 10⁵⁺-round streams
-    /// instead of O(windows).
+    /// The plan memo, keyed by window index and capped by
+    /// [`PLAN_MEMO_CAP`].
     resolved: HashMap<usize, Arc<WindowPlan>>,
     /// Distinct inner decoders built so far, most recently used first;
     /// a candidate window whose instrumented sub-graph equals a canonical
     /// decoder's graph reuses it instead of compiling a new backend.
     canon: Vec<Arc<dyn Decoder>>,
-    /// All detectors sorted by `(round, detector)`.
-    dets: Vec<u32>,
-    /// `dets[round_start[r]..round_start[r + 1]]` are round `r`'s
-    /// detectors in ascending id order.
-    round_start: Vec<u32>,
 }
 
 /// A streaming decoder: decodes overlapping round-windows of a decoding
-/// graph whose detectors carry round labels, committing matches in each
+/// model whose detectors carry round labels, committing matches in each
 /// window's commit region and carrying boundary defects forward.
 ///
-/// Implements [`Decoder`] itself (over the full-history graph), so any
-/// code consuming a `Box<dyn Decoder>` can be switched to streaming
-/// decoding transparently; [`session`](WindowedDecoder::session) exposes
-/// the round-by-round feed used by `surf_sim`'s streaming experiments.
+/// Decoding happens through [`session`](WindowedDecoder::session)s, the
+/// round-by-round feed used by `surf_sim`'s streaming experiments and the
+/// decode service; one decoder serves any number of concurrent sessions.
 ///
 /// # Example
 ///
 /// ```
-/// use surf_matching::{Decoder, DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
+/// use std::sync::Arc;
+/// use surf_matching::{DecodingGraph, MwpmDecoder, WindowConfig, WindowedDecoder};
 ///
 /// // Two detectors in consecutive rounds joined by a measurement edge
 /// // (cheaper than the boundaries, so the matching is unique).
@@ -224,30 +205,29 @@ struct PlanTable {
 /// g.add_edge(0, None, 1e-2, 1);
 /// g.add_edge(0, Some(1), 5e-2, 0);
 /// g.add_edge(1, None, 1e-2, 0);
-/// let windowed = WindowedDecoder::new(
+/// let windowed = Arc::new(WindowedDecoder::new(
 ///     g,
 ///     vec![0, 1],
 ///     1,
 ///     WindowConfig::new(1),
 ///     Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
-/// );
+/// ));
 /// // The measurement-error pair is matched across the window cut: the
 /// // first window commits the pair edge and carries the residual defect
 /// // into round 1, where it cancels the sampled one.
-/// assert_eq!(windowed.decode(&[0, 1]), 0);
+/// let mut session = windowed.session(1);
+/// session.push_round(0, &[0], &[1]);
+/// session.push_round(1, &[1], &[1]);
+/// assert_eq!(session.finish(), vec![0]);
 /// ```
 pub struct WindowedDecoder {
-    graph: DecodingGraph,
-    rounds_of: Vec<u32>,
-    /// Round-indexed model source (virtual mode); `None` when the graph
-    /// and round table above are materialised.
-    source: Option<Arc<dyn RoundModelSource>>,
+    source: Arc<dyn RoundModelSource>,
     /// One past the largest round label.
     total_rounds: u32,
     obs_mask: u64,
     num_observables: u32,
     config: WindowConfig,
-    store: PlanStore,
+    plans: Mutex<PlanTable>,
 }
 
 impl WindowedDecoder {
@@ -258,10 +238,8 @@ impl WindowedDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if `rounds_of` does not match the graph, if
-    /// `num_observables` is 0 or ≥ 64, or if a window needs more carry
-    /// bits than the `64 - num_observables` available ones (only possible
-    /// for very wide time-cuts; d ≤ 9 surface-code memories fit easily).
+    /// Panics if `rounds_of` does not match the graph, plus everything
+    /// [`from_source`](WindowedDecoder::from_source) checks.
     pub fn new(
         graph: DecodingGraph,
         rounds_of: Vec<u32>,
@@ -269,99 +247,12 @@ impl WindowedDecoder {
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, num_observables, config, factory, false)
-    }
-
-    /// [`new`](WindowedDecoder::new) in sparse mode: window plans are
-    /// resolved lazily on first use, structurally identical windows share
-    /// one inner decoder, and sessions fast-forward through defect-free
-    /// windows without invoking the backend.
-    ///
-    /// Decodes bit-identically to the eager construction on every stream;
-    /// the only behavioural difference is that a carry-bit overflow (see
-    /// [`new`](WindowedDecoder::new)) panics on first decode of the
-    /// offending window instead of at construction.
-    pub fn sparse(
-        graph: DecodingGraph,
-        rounds_of: Vec<u32>,
-        num_observables: u32,
-        config: WindowConfig,
-        factory: DecoderFactory,
-    ) -> Self {
-        WindowedDecoder::build(graph, rounds_of, num_observables, config, factory, true)
-    }
-
-    fn build(
-        graph: DecodingGraph,
-        rounds_of: Vec<u32>,
-        num_observables: u32,
-        config: WindowConfig,
-        factory: DecoderFactory,
-        sparse: bool,
-    ) -> Self {
-        assert_eq!(
-            rounds_of.len(),
-            graph.num_nodes(),
-            "one round label per detector required"
-        );
-        assert!(
-            (1..64).contains(&num_observables),
-            "num_observables {num_observables} outside 1..=63"
-        );
-        // Re-validate the config: its fields are `pub`, so a struct
-        // literal can bypass the constructor asserts. commit = 0 would
-        // produce infinitely many windows; commit > window would leave
-        // rounds that belong to no window (silently undecoded defects).
-        assert!(config.window > 0, "window must be at least one round");
-        assert!(
-            (1..=config.window).contains(&config.commit),
-            "commit {} outside 1..={}",
-            config.commit,
-            config.window
-        );
-        let total_rounds = rounds_of.iter().map(|&r| r + 1).max().unwrap_or(0);
-        let obs_mask = (1u64 << num_observables) - 1;
-        let mut decoder = WindowedDecoder {
-            graph,
-            rounds_of,
-            source: None,
-            total_rounds,
-            obs_mask,
+        WindowedDecoder::from_source(
+            Arc::new(GraphSource::new(graph, rounds_of)),
             num_observables,
             config,
-            store: PlanStore::Eager(Vec::new()),
-        };
-        decoder.store = if sparse {
-            let mut dets: Vec<u32> = (0..decoder.graph.num_nodes() as u32).collect();
-            dets.sort_unstable_by_key(|&d| (decoder.rounds_of[d as usize], d));
-            let mut round_start = vec![0u32; total_rounds as usize + 1];
-            for &d in &dets {
-                round_start[decoder.rounds_of[d as usize] as usize + 1] += 1;
-            }
-            for r in 0..total_rounds as usize {
-                round_start[r + 1] += round_start[r];
-            }
-            PlanStore::Lazy(Mutex::new(PlanTable {
-                factory,
-                resolved: HashMap::new(),
-                canon: Vec::new(),
-                dets,
-                round_start,
-            }))
-        } else {
-            let mut plans = Vec::with_capacity(decoder.num_windows());
-            for index in 0..decoder.num_windows() {
-                let (start, end, cut) = decoder.window_bounds(index);
-                let (globals, window_graph, carries) = decoder.build_parts_eager(start, end, cut);
-                plans.push(Arc::new(WindowPlan {
-                    globals,
-                    decoder: Arc::from(factory(window_graph)),
-                    carries,
-                }));
-            }
-            PlanStore::Eager(plans)
-        };
-        decoder
+            factory,
+        )
     }
 
     /// Builds a windowed decoder over epoch pieces spliced into one
@@ -387,24 +278,6 @@ impl WindowedDecoder {
         config: WindowConfig,
         factory: DecoderFactory,
     ) -> Self {
-        let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::new(graph, rounds_of, num_observables, config, factory)
-    }
-
-    /// [`from_epochs`](WindowedDecoder::from_epochs) in sparse mode; see
-    /// [`sparse`](WindowedDecoder::sparse).
-    pub fn from_epochs_sparse(
-        num_detectors: usize,
-        epochs: &[GraphEpoch],
-        num_observables: u32,
-        config: WindowConfig,
-        factory: DecoderFactory,
-    ) -> Self {
-        let (graph, rounds_of) = WindowedDecoder::splice_epochs(num_detectors, epochs);
-        WindowedDecoder::sparse(graph, rounds_of, num_observables, config, factory)
-    }
-
-    fn splice_epochs(num_detectors: usize, epochs: &[GraphEpoch]) -> (DecodingGraph, Vec<u32>) {
         let mut graph = DecodingGraph::new(num_detectors);
         let mut rounds_of = vec![u32::MAX; num_detectors];
         for (i, epoch) in epochs.iter().enumerate() {
@@ -442,24 +315,23 @@ impl WindowedDecoder {
             rounds_of.iter().all(|&r| r != u32::MAX),
             "every global detector needs a round label from some epoch"
         );
-        (graph, rounds_of)
+        WindowedDecoder::new(graph, rounds_of, num_observables, config, factory)
     }
 
-    /// Builds a windowed decoder over a round-indexed model source, with
-    /// no materialised graph: window detectors and candidate edges are
-    /// asked of `source` on demand, and sessions keep sparse defect state
-    /// pruned at the commit frontier — resident memory O(in-flight
-    /// windows + events) regardless of the horizon.
+    /// Builds a windowed decoder over a round-indexed model source: window
+    /// detectors and candidate edges are asked of `source` on demand.
     ///
-    /// Virtual decoders are always sparse (lazy plans, structural backend
-    /// sharing, clean-window fast-forward) and serve *sessions only*: the
-    /// whole-history [`Decoder`] entry points panic.
+    /// A carry-bit overflow — a window needing more than the
+    /// `64 - num_observables` available carry bits, only possible for very
+    /// wide time-cuts (d ≤ 9 surface-code memories fit easily) — panics
+    /// on first decode of the offending window.
     ///
     /// # Panics
     ///
-    /// Panics if `num_observables` is outside `1..=63` or the window
-    /// config is degenerate, like [`new`](WindowedDecoder::new).
-    pub fn virtual_source(
+    /// Panics if `num_observables` is outside `1..=63`, or if the window
+    /// config is degenerate (its fields are public, so a struct literal
+    /// can bypass the [`WindowConfig`] constructor checks).
+    pub fn from_source(
         source: Arc<dyn RoundModelSource>,
         num_observables: u32,
         config: WindowConfig,
@@ -469,6 +341,9 @@ impl WindowedDecoder {
             (1..64).contains(&num_observables),
             "num_observables {num_observables} outside 1..=63"
         );
+        // commit = 0 would produce infinitely many windows; commit >
+        // window would leave rounds that belong to no window (silently
+        // undecoded defects).
         assert!(config.window > 0, "window must be at least one round");
         assert!(
             (1..=config.window).contains(&config.commit),
@@ -476,83 +351,32 @@ impl WindowedDecoder {
             config.commit,
             config.window
         );
-        let total_rounds = source.total_rounds();
         WindowedDecoder {
-            graph: DecodingGraph::new(0),
-            rounds_of: Vec::new(),
-            source: Some(source),
-            total_rounds,
+            total_rounds: source.total_rounds(),
+            source,
             obs_mask: (1u64 << num_observables) - 1,
             num_observables,
             config,
-            store: PlanStore::Virtual(Mutex::new(VirtualTable {
+            plans: Mutex::new(PlanTable {
                 factory,
                 resolved: HashMap::new(),
                 canon: Vec::new(),
-            })),
+            }),
         }
     }
 
-    /// Whether this decoder was built in sparse (lazy-plan, fast-forward)
-    /// mode; virtual decoders are always sparse.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.store, PlanStore::Lazy(_) | PlanStore::Virtual(_))
-    }
-
-    /// Whether this decoder serves windows from a [`RoundModelSource`]
-    /// with no materialised whole-history graph.
-    pub fn is_virtual(&self) -> bool {
-        self.source.is_some()
-    }
-
-    /// The round label of a global detector (table lookup when
-    /// materialised, source arithmetic when virtual).
-    fn round_of_det(&self, det: u32) -> u32 {
-        match &self.source {
-            Some(source) => source.detector_round(det),
-            None => self.rounds_of[det as usize],
-        }
-    }
-
-    /// Number of distinct inner decoder backends compiled so far: eager
-    /// decoders compile one per window up front; sparse decoders compile
-    /// one per *structurally distinct* window, on demand. Useful for
-    /// asserting (and benchmarking) plan sharing.
+    /// Number of distinct inner decoder backends compiled so far: one per
+    /// *structurally distinct* window, on demand. Useful for asserting
+    /// (and benchmarking) plan sharing.
     pub fn compiled_backends(&self) -> usize {
-        match &self.store {
-            PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy(table) => table.lock().unwrap().canon.len(),
-            PlanStore::Virtual(table) => table.lock().unwrap().canon.len(),
-        }
+        self.plans.lock().expect(POISONED).canon.len()
     }
 
-    /// Number of resolved window plans currently retained. Eager decoders
-    /// hold every window's plan for their whole lifetime; sparse decoders
-    /// resolve plans on demand and evict them once committed, so this
-    /// stays bounded on arbitrarily long streams.
+    /// Number of resolved window plans the memo currently holds — at most
+    /// 1024 plus the windows between the slowest and the fastest live
+    /// session, on arbitrarily long streams.
     pub fn live_plans(&self) -> usize {
-        match &self.store {
-            PlanStore::Eager(plans) => plans.len(),
-            PlanStore::Lazy(table) => table.lock().unwrap().resolved.len(),
-            PlanStore::Virtual(table) => table.lock().unwrap().resolved.len(),
-        }
-    }
-
-    /// Drops resolved lazy plans for windows below `floor` (a session's
-    /// commit frontier). The canonical shared backends stay — a lagging
-    /// concurrent session that still needs an evicted window re-resolves
-    /// its (cheap) plan shell and reuses the same backend, so eviction is
-    /// invisible to results.
-    fn evict_plans_below(&self, floor: usize) {
-        match &self.store {
-            PlanStore::Lazy(table) => {
-                table.lock().unwrap().resolved.retain(|&i, _| i >= floor);
-            }
-            PlanStore::Virtual(table) => {
-                table.lock().unwrap().resolved.retain(|&i, _| i >= floor);
-            }
-            PlanStore::Eager(_) => {}
-        }
+        self.plans.lock().expect(POISONED).resolved.len()
     }
 
     /// `(start, end, cut)` of window `index`: it decodes rounds
@@ -571,54 +395,30 @@ impl WindowedDecoder {
         (start, end, cut)
     }
 
-    /// Resolves window `index`'s plan: a direct lookup for eager
-    /// decoders; for sparse ones, builds (or re-uses a structurally
-    /// identical) plan on first touch.
+    /// Resolves window `index`'s plan for a session whose commit frontier
+    /// is `index`: a memo hit, or a fresh plan over a (possibly shared)
+    /// backend. A full memo first drops every plan below `index`.
     fn plan(&self, index: usize) -> Arc<WindowPlan> {
-        match &self.store {
-            PlanStore::Eager(plans) => Arc::clone(&plans[index]),
-            PlanStore::Lazy(table) => {
-                let mut table = table.lock().unwrap();
-                if let Some(plan) = table.resolved.get(&index) {
-                    return Arc::clone(plan);
-                }
-                let (start, end, cut) = self.window_bounds(index);
-                let (globals, window_graph, carries) =
-                    self.build_parts_lazy(&table, start, end, cut);
-                let table = &mut *table;
-                let decoder = Self::canon_decoder(&mut table.canon, &table.factory, window_graph);
-                let plan = Arc::new(WindowPlan {
-                    globals,
-                    decoder,
-                    carries,
-                });
-                table.resolved.insert(index, Arc::clone(&plan));
-                plan
-            }
-            PlanStore::Virtual(table) => {
-                let mut table = table.lock().unwrap();
-                if let Some(plan) = table.resolved.get(&index) {
-                    return Arc::clone(plan);
-                }
-                let (start, end, cut) = self.window_bounds(index);
-                let source = Arc::clone(self.source.as_ref().expect("virtual store has a source"));
-                let (globals, window_graph, carries) =
-                    self.build_parts_virtual(source.as_ref(), start, end, cut);
-                let table = &mut *table;
-                let decoder = Self::canon_decoder(&mut table.canon, &table.factory, window_graph);
-                let plan = Arc::new(WindowPlan {
-                    globals,
-                    decoder,
-                    carries,
-                });
-                table.resolved.insert(index, Arc::clone(&plan));
-                plan
-            }
+        let mut table = self.plans.lock().expect(POISONED);
+        if let Some(plan) = table.resolved.get(&index) {
+            return Arc::clone(plan);
         }
+        let (globals, window_graph, carries) = self.build_parts(index);
+        let table = &mut *table;
+        let plan = Arc::new(WindowPlan {
+            globals,
+            decoder: Self::canon_decoder(&mut table.canon, &table.factory, window_graph),
+            carries,
+        });
+        if table.resolved.len() >= PLAN_MEMO_CAP {
+            table.resolved.retain(|&i, _| i >= index);
+        }
+        table.resolved.insert(index, Arc::clone(&plan));
+        plan
     }
 
     /// Finds (or compiles) the canonical shared backend for a window
-    /// sub-graph — the structural-sharing core of both lazy stores.
+    /// sub-graph — the structural-sharing core of the plan table.
     fn canon_decoder(
         canon: &mut Vec<Arc<dyn Decoder>>,
         factory: &DecoderFactory,
@@ -643,101 +443,23 @@ impl WindowedDecoder {
         }
     }
 
-    /// Eager window-part construction: O(detectors + edges) scans, used
-    /// once per window at build time.
-    fn build_parts_eager(
-        &self,
-        start: u32,
-        end: u32,
-        cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
+    /// Window `index`'s detectors (ascending), instrumented sub-graph and
+    /// carry table: detectors and candidate edges come from the model
+    /// source, visited in the order the materialised graph stores them, so
+    /// the plan is the same whichever source kind serves it.
+    fn build_parts(&self, index: usize) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
+        let (start, end, cut) = self.window_bounds(index);
         let mut globals: Vec<u32> = Vec::new();
-        let mut local_vec = vec![u32::MAX; self.graph.num_nodes()];
-        for (det, &round) in self.rounds_of.iter().enumerate() {
-            if (start..end).contains(&round) {
-                local_vec[det] = globals.len() as u32;
-                globals.push(det as u32);
-            }
-        }
-        let edges = self.graph.edges();
-        let (window_graph, carries) = self.assemble_window(
-            start,
-            end,
-            cut,
-            &globals,
-            &mut |det| local_vec[det as usize],
-            &mut edges.iter().map(SourceEdge::from_graph_edge),
-        );
-        (globals, window_graph, carries)
-    }
-
-    /// Lazy window-part construction: O(window detectors · log) via the
-    /// round-major detector index, independent of the stream length.
-    /// Produces node and edge orderings identical to the eager path
-    /// (detectors ascending; candidate edges visited in ascending edge-id
-    /// order), so the resulting plans are bit-identical.
-    fn build_parts_lazy(
-        &self,
-        table: &PlanTable,
-        start: u32,
-        end: u32,
-        cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
-        let lo = table.round_start[start as usize] as usize;
-        let hi = table.round_start[end as usize] as usize;
-        let mut globals: Vec<u32> = table.dets[lo..hi].to_vec();
-        globals.sort_unstable();
-        let mut edge_ids: Vec<usize> = Vec::new();
-        for &det in &globals {
-            edge_ids.extend_from_slice(self.graph.incident(det as usize));
-        }
-        edge_ids.sort_unstable();
-        edge_ids.dedup();
-        let edges = self.graph.edges();
-        let (window_graph, carries) = self.assemble_window(
-            start,
-            end,
-            cut,
-            &globals,
-            &mut |det| globals.binary_search(&det).map_or(u32::MAX, |i| i as u32),
-            &mut edge_ids
-                .iter()
-                .map(|&id| SourceEdge::from_graph_edge(&edges[id])),
-        );
-        (globals, window_graph, carries)
-    }
-
-    /// Virtual window-part construction: detectors and candidate edges
-    /// come from the round-indexed model source, visited in the same
-    /// relative order the materialised graph stores them, so the
-    /// assembled plans are bit-identical to the lazy path over the
-    /// equivalent monolithic graph.
-    fn build_parts_virtual(
-        &self,
-        source: &dyn RoundModelSource,
-        start: u32,
-        end: u32,
-        cut: u32,
-    ) -> (Vec<u32>, DecodingGraph, Vec<(u32, u32)>) {
-        let mut globals: Vec<u32> = Vec::new();
-        source.detectors_in(start..end, &mut globals);
+        self.source.detectors_in(start..end, &mut globals);
         globals.sort_unstable();
         let mut edges: Vec<SourceEdge> = Vec::new();
-        source.window_edges(start..end, &mut edges);
-        let (window_graph, carries) = self.assemble_window(
-            start,
-            end,
-            cut,
-            &globals,
-            &mut |det| globals.binary_search(&det).map_or(u32::MAX, |i| i as u32),
-            &mut edges.iter().copied(),
-        );
+        self.source.window_edges(start..end, &mut edges);
+        let (window_graph, carries) = self.assemble_window(start, end, cut, &globals, &edges);
         (globals, window_graph, carries)
     }
 
     /// Builds the instrumented sub-graph (and carry table) of one window
-    /// from a candidate edge set — the shared core of both the eager and
-    /// lazy paths.
+    /// over `globals` (ascending) from a candidate edge set.
     ///
     /// Edge placement rules (rounds `ra <= rb` of the endpoints):
     /// * `ra < start` — already committed by an earlier window: skipped;
@@ -755,10 +477,14 @@ impl WindowedDecoder {
         end: u32,
         cut: u32,
         globals: &[u32],
-        local_of: &mut dyn FnMut(u32) -> u32,
-        edges: &mut dyn Iterator<Item = SourceEdge>,
+        edges: &[SourceEdge],
     ) -> (DecodingGraph, Vec<(u32, u32)>) {
         let num_observables = self.num_observables;
+        let local_of = |det: u32| {
+            globals
+                .binary_search(&det)
+                .expect("window edge endpoints are window detectors")
+        };
         let mut window_graph = DecodingGraph::new(globals.len());
         let mut carries: Vec<(u32, u32)> = Vec::new();
         let carry_bit_of = |target: u32, carries: &mut Vec<(u32, u32)>| -> u64 {
@@ -778,7 +504,7 @@ impl WindowedDecoder {
             1u64 << bit
         };
         for edge in edges {
-            let ra = self.round_of_det(edge.a);
+            let ra = self.source.detector_round(edge.a);
             match edge.b {
                 None => {
                     // Space-boundary edge: lives entirely in round `ra`.
@@ -790,10 +516,10 @@ impl WindowedDecoder {
                     } else {
                         0
                     };
-                    window_graph.add_edge(local_of(edge.a) as usize, None, edge.probability, obs);
+                    window_graph.add_edge(local_of(edge.a), None, edge.probability, obs);
                 }
                 Some(b) => {
-                    let rb = self.round_of_det(b);
+                    let rb = self.source.detector_round(b);
                     // Order endpoints by round so `lo` is the committing side.
                     let (lo, hi, rlo, rhi) = if ra <= rb {
                         (edge.a, b, ra, rb)
@@ -813,14 +539,14 @@ impl WindowedDecoder {
                     }
                     if rhi < end {
                         window_graph.add_edge(
-                            local_of(lo) as usize,
-                            Some(local_of(hi) as usize),
+                            local_of(lo),
+                            Some(local_of(hi)),
                             edge.probability,
                             obs,
                         );
                     } else {
                         // Partner not yet streamed: open time boundary.
-                        window_graph.add_edge(local_of(lo) as usize, None, edge.probability, obs);
+                        window_graph.add_edge(local_of(lo), None, edge.probability, obs);
                     }
                 }
             }
@@ -847,28 +573,33 @@ impl WindowedDecoder {
         }
     }
 
-    /// Round labels of the detectors.
-    pub fn rounds_of(&self) -> &[u32] {
-        &self.rounds_of
-    }
-
     /// Starts a streaming session over up to `lanes` parallel shots; feed
-    /// it rounds in order via [`WindowedSession::push_round`].
-    pub fn session(&self, lanes: usize) -> WindowedSession<'_> {
+    /// it rounds in order via [`WindowedSession::push_round`]. The session
+    /// holds the decoder through the [`Arc`], so it can outlive the scope
+    /// (e.g. a daemon request handler) that opened it and move freely
+    /// across threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is outside `1..=64`.
+    pub fn session(self: &Arc<Self>, lanes: usize) -> WindowedSession {
+        assert!(
+            (1..=BitBatch::LANES).contains(&lanes),
+            "lanes {lanes} out of range 1..={}",
+            BitBatch::LANES
+        );
         WindowedSession {
-            core: SessionCore::new(self, lanes),
-            decoder: self,
-        }
-    }
-
-    /// [`session`](Self::session) for an `Arc`-held decoder: the returned
-    /// [`OwnedWindowedSession`] keeps the decoder alive itself, so it can
-    /// outlive the scope (e.g. a daemon request handler) that created it
-    /// and move freely across threads.
-    pub fn into_session(self: Arc<Self>, lanes: usize) -> OwnedWindowedSession {
-        OwnedWindowedSession {
-            core: SessionCore::new(&self, lanes),
-            decoder: self,
+            decoder: Arc::clone(self),
+            defects: HashMap::new(),
+            dirty: Vec::new(),
+            lane_mask: BitBatch::mask_for(lanes),
+            lanes,
+            filled_rounds: 0,
+            next_plan: 0,
+            observables: vec![0u64; lanes],
+            predictions: Vec::new(),
+            window_batch: BitBatch::with_lanes(0, lanes),
+            workspace: DecodeWorkspace::default(),
         }
     }
 
@@ -883,147 +614,30 @@ impl WindowedDecoder {
     }
 }
 
-impl Decoder for WindowedDecoder {
-    fn graph(&self) -> &DecodingGraph {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders never materialise the whole-history \
-             graph; use a session instead"
-        );
-        &self.graph
-    }
-
-    fn decode(&self, syndrome: &[usize]) -> u64 {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders serve sessions only; whole-history \
-             decode would materialise O(rounds) state"
-        );
-        let mut core = SessionCore::new(self, 1);
-        for &d in syndrome {
-            core.defects.xor(d as u32, 1); // duplicates cancel pairwise
-        }
-        core.mark_dirty_defects(self);
-        core.filled_rounds = self.total_rounds;
-        core.drain_ready(self);
-        core.finish(self)[0]
-    }
-
-    fn decode_batch(&self, batch: &BitBatch, predictions: &mut Vec<u64>) {
-        self.decode_batch_with(batch, predictions, &mut DecodeWorkspace::default());
-    }
-
-    /// Whole-history batch decode through the caller's arena: the
-    /// transient per-call session state (`decode_batch` historically
-    /// rebuilt it every time) is cached inside the workspace, so a
-    /// long-lived holder re-decoding many batches reuses one core —
-    /// defect words, dirty bitmap, window scratch, and the backend arena
-    /// all grow to their high-water marks once.
-    fn decode_batch_with(
-        &self,
-        batch: &BitBatch,
-        predictions: &mut Vec<u64>,
-        workspace: &mut DecodeWorkspace,
-    ) {
-        assert!(
-            !self.is_virtual(),
-            "virtual windowed decoders serve sessions only; whole-history \
-             decode would materialise O(rounds) state"
-        );
-        assert_eq!(
-            batch.num_bits(),
-            self.graph.num_nodes(),
-            "batch shape does not match the decoding graph"
-        );
-        let mut core = workspace
-            .windowed
-            .take()
-            .unwrap_or_else(|| Box::new(SessionCore::new(self, batch.lanes())));
-        core.reset(self, batch.lanes());
-        let DefectWords::Dense(words) = &mut core.defects else {
-            unreachable!("non-virtual cores keep dense defect words");
-        };
-        words.copy_from_slice(&batch.words()[..batch.num_bits()]);
-        core.mark_dirty_defects(self);
-        core.filled_rounds = self.total_rounds;
-        core.drain_ready(self);
-        debug_assert_eq!(core.next_plan, self.num_windows());
-        predictions.clear();
-        predictions.extend_from_slice(&core.observables);
-        workspace.windowed = Some(core);
-    }
-}
-
-/// Residual defect words, one per global detector: a dense vector for
-/// materialised decoders (O(1) hot-path indexing, zero steady-state
-/// allocation) or a sparse map for virtual ones (O(events) resident,
-/// pruned at the commit frontier so unbounded horizons stay bounded).
-#[derive(Clone, Debug)]
-enum DefectWords {
-    Dense(Vec<u64>),
-    Sparse(BTreeMap<u32, u64>),
-}
-
-impl DefectWords {
-    fn get(&self, det: u32) -> u64 {
-        match self {
-            DefectWords::Dense(words) => words[det as usize],
-            DefectWords::Sparse(map) => map.get(&det).copied().unwrap_or(0),
-        }
-    }
-
-    fn xor(&mut self, det: u32, word: u64) {
-        match self {
-            DefectWords::Dense(words) => words[det as usize] ^= word,
-            DefectWords::Sparse(map) => {
-                let slot = map.entry(det).or_insert(0);
-                *slot ^= word;
-                if *slot == 0 {
-                    map.remove(&det);
-                }
-            }
-        }
-    }
-}
-
-/// The sticky per-round dirty record: a bitmap for materialised decoders
-/// or a round set for virtual ones (O(dirty rounds) resident).
-#[derive(Clone, Debug)]
-enum DirtyRounds {
-    Bitmap(Vec<u64>),
-    Set(BTreeSet<u32>),
-}
-
-impl DirtyRounds {
-    fn mark(&mut self, round: u32) {
-        match self {
-            DirtyRounds::Bitmap(bits) => bits[(round / 64) as usize] |= 1u64 << (round % 64),
-            DirtyRounds::Set(set) => {
-                set.insert(round);
-            }
-        }
-    }
-
-    fn clean(&self, rounds: std::ops::Range<u32>) -> bool {
-        match self {
-            DirtyRounds::Bitmap(bits) => rounds
-                .into_iter()
-                .all(|r| bits[(r / 64) as usize] & (1u64 << (r % 64)) == 0),
-            DirtyRounds::Set(set) => set.range(rounds).next().is_none(),
-        }
-    }
-}
-
-/// The per-session state behind both session handles: residual defects,
-/// fill cursor, and committed observables. Every method takes the decoder
-/// explicitly so the state can be owned next to either a borrowed or an
-/// `Arc`-held [`WindowedDecoder`] — or cached inside a
-/// [`DecodeWorkspace`] by the whole-history
-/// [`Decoder::decode_batch_with`] path.
-#[derive(Clone, Debug)]
-pub(crate) struct SessionCore {
-    /// Current residual defects, one word per global detector.
-    defects: DefectWords,
+/// An in-flight streaming decode over up to 64 parallel shots.
+///
+/// Rounds are pushed in order; as soon as all rounds of the next window
+/// have arrived, the window is decoded and its commit region is final —
+/// the *commit latency* is one window of rounds, not the whole experiment.
+///
+/// The session owns its decoder through an [`Arc`] and keeps only the
+/// state of in-flight rounds: residual defect words and the rounds that
+/// ever held one are pruned at the commit frontier, so resident memory is
+/// O(in-flight windows + events) whatever the horizon. Both live in
+/// containers that keep their capacity when entries go, so once they reach
+/// their high-water marks the steady-state feed performs zero heap
+/// allocations; neither container's iteration order reaches a result.
+pub struct WindowedSession {
+    decoder: Arc<WindowedDecoder>,
+    /// Nonzero residual defect words of in-flight rounds, by global
+    /// detector (lane `b` = shot `b`).
+    defects: HashMap<u32, u64>,
+    /// In-flight rounds that have ever held a nonzero defect word in any
+    /// lane (pushed or carried), ascending. Sticky and conservative — a
+    /// missing round *proves* the round is defect-free, so a ready window
+    /// none of whose rounds is listed commits without touching the
+    /// backend (empty matching, zero flips).
+    dirty: Vec<u32>,
     lane_mask: u64,
     lanes: usize,
     /// Rounds `0..filled_rounds` have been pushed.
@@ -1032,13 +646,6 @@ pub(crate) struct SessionCore {
     next_plan: usize,
     /// Per-lane committed observable masks.
     observables: Vec<u64>,
-    /// One bit per round: set once the round has ever held a nonzero
-    /// defect word in any lane (pushed or carried). Sticky and
-    /// conservative — a clear bit *proves* the round is defect-free, so a
-    /// sparse decoder may fast-forward a ready window whose rounds are
-    /// all clear (empty matching, zero flips) without touching the
-    /// backend.
-    dirty: DirtyRounds,
     /// Scratch for the inner `decode_batch_with` calls.
     predictions: Vec<u64>,
     /// Reusable window sub-batch (reshaped per window, allocated once).
@@ -1048,306 +655,80 @@ pub(crate) struct SessionCore {
     workspace: DecodeWorkspace,
 }
 
-impl SessionCore {
-    fn new(decoder: &WindowedDecoder, lanes: usize) -> Self {
-        assert!(
-            (1..=BitBatch::LANES).contains(&lanes),
-            "lanes {lanes} out of range 1..={}",
-            BitBatch::LANES
-        );
-        let (defects, dirty) = if decoder.is_virtual() {
-            (
-                DefectWords::Sparse(BTreeMap::new()),
-                DirtyRounds::Set(BTreeSet::new()),
-            )
-        } else {
-            (
-                DefectWords::Dense(vec![0u64; decoder.graph.num_nodes()]),
-                DirtyRounds::Bitmap(vec![0u64; (decoder.total_rounds as usize).div_ceil(64)]),
-            )
-        };
-        SessionCore {
-            defects,
-            lane_mask: BitBatch::mask_for(lanes),
-            lanes,
-            filled_rounds: 0,
-            next_plan: 0,
-            observables: vec![0u64; lanes],
-            dirty,
-            predictions: Vec::new(),
-            window_batch: BitBatch::with_lanes(0, lanes),
-            workspace: DecodeWorkspace::default(),
-        }
-    }
-
-    /// Returns a (possibly recycled) core to the fresh-session state for
-    /// `decoder` and `lanes`, keeping every backing allocation. The core
-    /// may previously have served a *different* decoder — all
-    /// shape-dependent vectors are resized here.
-    fn reset(&mut self, decoder: &WindowedDecoder, lanes: usize) {
-        assert!(
-            (1..=BitBatch::LANES).contains(&lanes),
-            "lanes {lanes} out of range 1..={}",
-            BitBatch::LANES
-        );
-        match (&mut self.defects, decoder.is_virtual()) {
-            (DefectWords::Dense(words), false) => {
-                words.clear();
-                words.resize(decoder.graph.num_nodes(), 0);
-            }
-            (DefectWords::Sparse(map), true) => map.clear(),
-            (defects, virt) => {
-                *defects = if virt {
-                    DefectWords::Sparse(BTreeMap::new())
-                } else {
-                    DefectWords::Dense(vec![0u64; decoder.graph.num_nodes()])
-                };
-            }
-        }
-        self.lane_mask = BitBatch::mask_for(lanes);
-        self.lanes = lanes;
-        self.filled_rounds = 0;
-        self.next_plan = 0;
-        self.observables.clear();
-        self.observables.resize(lanes, 0);
-        match (&mut self.dirty, decoder.is_virtual()) {
-            (DirtyRounds::Bitmap(bits), false) => {
-                bits.clear();
-                bits.resize((decoder.total_rounds as usize).div_ceil(64), 0);
-            }
-            (DirtyRounds::Set(set), true) => set.clear(),
-            (dirty, virt) => {
-                *dirty = if virt {
-                    DirtyRounds::Set(BTreeSet::new())
-                } else {
-                    DirtyRounds::Bitmap(vec![0u64; (decoder.total_rounds as usize).div_ceil(64)])
-                };
-            }
-        }
-        // Rows are empty after the reshape, so the lane change never
-        // truncates live data.
-        self.window_batch.reset_rows(0);
-        self.window_batch.set_lanes(lanes);
-        // `predictions` and `workspace` are pure scratch: reused as-is.
-    }
-
-    fn mark_dirty(&mut self, round: u32) {
-        self.dirty.mark(round);
-    }
-
-    /// Marks the round of every currently nonzero defect word dirty —
-    /// used by the whole-history [`Decoder`] entry points, which fill
-    /// `defects` directly instead of round by round.
-    fn mark_dirty_defects(&mut self, decoder: &WindowedDecoder) {
-        let DefectWords::Dense(words) = &self.defects else {
-            unreachable!("whole-history decoding is rejected for virtual decoders");
-        };
-        let mut dirty_rounds: Vec<u32> = Vec::new();
-        for (det, &word) in words.iter().enumerate() {
-            if word != 0 {
-                dirty_rounds.push(decoder.rounds_of[det]);
-            }
-        }
-        for round in dirty_rounds {
-            self.dirty.mark(round);
-        }
-    }
-
-    fn window_is_clean(&self, start: u32, end: u32) -> bool {
-        self.dirty.clean(start..end)
-    }
-
-    fn push_round(
-        &mut self,
-        decoder: &WindowedDecoder,
-        round: u32,
-        detectors: &[u32],
-        words: &[u64],
-    ) {
-        assert_eq!(round, self.filled_rounds, "rounds must be pushed in order");
-        assert_eq!(detectors.len(), words.len(), "one word per detector");
-        for (&det, &word) in detectors.iter().zip(words) {
-            assert_eq!(
-                decoder.round_of_det(det),
-                round,
-                "detector {det} does not belong to round {round}"
-            );
-            let masked = word & self.lane_mask;
-            if masked != 0 {
-                self.mark_dirty(round);
-            }
-            self.defects.xor(det, masked);
-        }
-        self.filled_rounds = round + 1;
-        self.drain_ready(decoder);
-    }
-
-    /// Feeds `rounds` defect-free rounds in one step (the bulk twin of
-    /// pushing that many empty rounds) and decodes every window that
-    /// becomes ready. With a sparse decoder, ready windows whose rounds
-    /// never saw a defect (including carries) commit without invoking the
-    /// backend, so skipping a long silent stretch costs O(windows), not
-    /// O(rounds · backend).
-    fn advance_silent(&mut self, decoder: &WindowedDecoder, rounds: u32) {
-        let target = self
-            .filled_rounds
-            .checked_add(rounds)
-            .expect("advance_silent round overflow");
-        assert!(
-            target <= decoder.total_rounds,
-            "advance_silent past the stream end: {} + {rounds} > {}",
-            self.filled_rounds,
-            decoder.total_rounds
-        );
-        self.filled_rounds = target;
-        self.drain_ready(decoder);
-    }
-
-    /// Decodes every plan whose window is fully streamed. Sparse decoders
-    /// skip windows proven clean by the dirty bitmap — exact, because an
-    /// all-zero window batch decodes to an empty matching with zero
-    /// observable flips and no carries.
-    fn drain_ready(&mut self, decoder: &WindowedDecoder) {
-        let sparse = decoder.is_sparse();
-        let committed_from = self.next_plan;
-        while self.next_plan < decoder.num_windows() {
-            let (start, end, _cut) = decoder.window_bounds(self.next_plan);
-            if end > self.filled_rounds {
-                break;
-            }
-            if sparse && self.window_is_clean(start, end) {
-                self.next_plan += 1;
-                continue;
-            }
-            let plan = decoder.plan(self.next_plan);
-            self.decode_plan(decoder, &plan);
-            self.next_plan += 1;
-        }
-        if sparse && self.next_plan > committed_from {
-            decoder.evict_plans_below(self.next_plan);
-            self.prune_committed(decoder);
-        }
-    }
-
-    /// Drops sparse session state below the commit frontier: committed
-    /// windows never re-read their defects or dirty marks (carry targets
-    /// always land at or above the next window's start), so a virtual
-    /// session stays O(in-flight windows + events) resident on unbounded
-    /// streams. No-op for dense state.
-    fn prune_committed(&mut self, decoder: &WindowedDecoder) {
-        let Some(source) = &decoder.source else {
-            return;
-        };
-        let frontier = decoder.commit_horizon(self.next_plan);
-        if let DefectWords::Sparse(map) = &mut self.defects {
-            map.retain(|&det, _| source.detector_round(det) >= frontier);
-        }
-        if let DirtyRounds::Set(set) = &mut self.dirty {
-            *set = set.split_off(&frontier);
-        }
-    }
-
-    /// Decodes window `plan` against the global per-detector defect words
-    /// (lane `b` = shot `b`), XOR-ing each lane's committed observables
-    /// into `observables` and applying carry flips back into `defects`.
-    /// `window_batch` is session-owned scratch (reshaped here), reused
-    /// across the whole stream; the backend call goes through
-    /// [`Decoder::decode_batch_with`] with the session's single
-    /// [`DecodeWorkspace`], so every buffer — lane extraction, Dijkstra
-    /// state, blossom tables, peeling forest — persists across windows and
-    /// epochs and the steady-state decode performs zero heap allocations.
-    fn decode_plan(&mut self, decoder: &WindowedDecoder, plan: &WindowPlan) {
-        if plan.globals.is_empty() {
-            return;
-        }
-        self.window_batch.reset_rows(plan.globals.len());
-        for (local, &global) in plan.globals.iter().enumerate() {
-            self.window_batch.set_word(local, self.defects.get(global));
-        }
-        plan.decoder.decode_batch_with(
-            &self.window_batch,
-            &mut self.predictions,
-            &mut self.workspace,
-        );
-        for (lane, &prediction) in self.predictions.iter().enumerate() {
-            self.observables[lane] ^= prediction & decoder.obs_mask;
-            if prediction & !decoder.obs_mask != 0 {
-                for &(bit, target) in &plan.carries {
-                    if (prediction >> bit) & 1 == 1 {
-                        self.defects.xor(target, 1u64 << lane);
-                        // A carry re-dirties its target round, which may
-                        // sit arbitrarily far ahead (open-boundary commits
-                        // carry into not-yet-streamed rounds).
-                        self.dirty.mark(decoder.round_of_det(target));
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish(self, decoder: &WindowedDecoder) -> Vec<u64> {
-        assert_eq!(
-            self.filled_rounds, decoder.total_rounds,
-            "stream ended early: {} of {} rounds pushed",
-            self.filled_rounds, decoder.total_rounds
-        );
-        debug_assert_eq!(self.next_plan, decoder.num_windows());
-        self.observables
-    }
-}
-
-/// An in-flight streaming decode over up to 64 parallel shots.
-///
-/// Rounds are pushed in order; as soon as all rounds of the next window
-/// have arrived, the window is decoded and its commit region is final —
-/// the *commit latency* is one window of rounds, not the whole experiment.
-///
-/// This handle borrows its decoder; [`WindowedDecoder::into_session`]
-/// returns the [`OwnedWindowedSession`] twin for sessions that must own
-/// their decoder (long-lived server sessions).
-pub struct WindowedSession<'a> {
-    decoder: &'a WindowedDecoder,
-    core: SessionCore,
-}
-
-impl WindowedSession<'_> {
+impl WindowedSession {
     /// Number of parallel shot lanes.
     pub fn lanes(&self) -> usize {
-        self.core.lanes
+        self.lanes
     }
 
     /// Number of windows already committed.
     pub fn windows_committed(&self) -> usize {
-        self.core.next_plan
+        self.next_plan
+    }
+
+    /// Rounds `0..filled_rounds()` have been pushed.
+    pub fn filled_rounds(&self) -> u32 {
+        self.filled_rounds
     }
 
     /// Per-lane committed observable masks accumulated so far.
     pub fn observables(&self) -> &[u64] {
-        &self.core.observables
+        &self.observables
     }
 
     /// Feeds the detector words of `round` (`detectors[i]`'s word is
     /// `words[i]`; lane `b` = shot `b`) and decodes every window whose
-    /// rounds are now complete.
+    /// rounds are now complete. Detectors left out are defect-free.
     ///
     /// # Panics
     ///
     /// Panics if rounds arrive out of order or a detector does not belong
     /// to `round`.
     pub fn push_round(&mut self, round: u32, detectors: &[u32], words: &[u64]) {
-        self.core.push_round(self.decoder, round, detectors, words);
+        assert_eq!(round, self.filled_rounds, "rounds must be pushed in order");
+        assert_eq!(detectors.len(), words.len(), "one word per detector");
+        let mut fired = false;
+        for (&det, &word) in detectors.iter().zip(words) {
+            assert_eq!(
+                self.decoder.source.detector_round(det),
+                round,
+                "detector {det} does not belong to round {round}"
+            );
+            let masked = word & self.lane_mask;
+            if masked != 0 {
+                fired = true;
+                self.flip(det, masked);
+            }
+        }
+        if fired {
+            self.mark_dirty(round);
+        }
+        self.filled_rounds = round + 1;
+        self.drain_ready();
     }
 
     /// Feeds `rounds` defect-free rounds in one step — equivalent to that
-    /// many empty [`push_round`](Self::push_round) calls, but with a
-    /// sparse decoder the windows that become ready and are proven clean
-    /// commit without invoking the backend.
+    /// many empty [`push_round`](Self::push_round) calls, but the windows
+    /// that become ready and are proven clean commit without invoking the
+    /// backend, so skipping a long silent stretch costs O(windows), not
+    /// O(rounds · backend).
     ///
     /// # Panics
     ///
     /// Panics if the advance runs past the end of the stream.
     pub fn advance_silent(&mut self, rounds: u32) {
-        self.core.advance_silent(self.decoder, rounds);
+        let total = self.decoder.total_rounds;
+        let target = self
+            .filled_rounds
+            .checked_add(rounds)
+            .expect("advance_silent round overflow");
+        assert!(
+            target <= total,
+            "advance_silent past the stream end: {} + {rounds} > {total}",
+            self.filled_rounds
+        );
+        self.filled_rounds = target;
+        self.drain_ready();
     }
 
     /// Completes the stream and returns the per-lane predicted
@@ -1357,65 +738,119 @@ impl WindowedSession<'_> {
     ///
     /// Panics if not all rounds have been pushed.
     pub fn finish(self) -> Vec<u64> {
-        self.core.finish(self.decoder)
-    }
-}
-
-/// The owning twin of [`WindowedSession`]: holds its decoder through an
-/// [`Arc`], so the session can outlive the scope that created it and be
-/// sent across threads — the shape a decode server needs, where one
-/// request handler opens a session and later ones keep feeding it.
-pub struct OwnedWindowedSession {
-    decoder: Arc<WindowedDecoder>,
-    core: SessionCore,
-}
-
-impl OwnedWindowedSession {
-    /// Number of parallel shot lanes.
-    pub fn lanes(&self) -> usize {
-        self.core.lanes
+        let total = self.decoder.total_rounds;
+        assert_eq!(
+            self.filled_rounds, total,
+            "stream ended early: {} of {total} rounds pushed",
+            self.filled_rounds
+        );
+        debug_assert_eq!(self.next_plan, self.decoder.num_windows());
+        self.observables
     }
 
-    /// Number of windows already committed.
-    pub fn windows_committed(&self) -> usize {
-        self.core.next_plan
+    /// XORs a nonzero `word` into `det`'s residual defect word, dropping
+    /// the entry once it cancels to zero.
+    fn flip(&mut self, det: u32, word: u64) {
+        match self.defects.entry(det) {
+            Entry::Occupied(mut slot) => {
+                *slot.get_mut() ^= word;
+                if *slot.get() == 0 {
+                    slot.remove();
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(word);
+            }
+        }
     }
 
-    /// Rounds `0..filled_rounds()` have been pushed.
-    pub fn filled_rounds(&self) -> u32 {
-        self.core.filled_rounds
+    fn mark_dirty(&mut self, round: u32) {
+        if let Err(at) = self.dirty.binary_search(&round) {
+            self.dirty.insert(at, round);
+        }
     }
 
-    /// Per-lane committed observable masks accumulated so far.
-    pub fn observables(&self) -> &[u64] {
-        &self.core.observables
+    fn window_is_clean(&self, start: u32, end: u32) -> bool {
+        let first = self.dirty.partition_point(|&r| r < start);
+        self.dirty.get(first).is_none_or(|&r| r >= end)
     }
 
-    /// The shared decoder this session feeds.
-    pub fn decoder(&self) -> &Arc<WindowedDecoder> {
-        &self.decoder
+    /// Decodes every plan whose window is fully streamed, skipping the
+    /// windows proven clean by the dirty record — exact, because an
+    /// all-zero window batch decodes to an empty matching with zero
+    /// observable flips and no carries. Then drops the session state the
+    /// committed windows leave behind.
+    fn drain_ready(&mut self) {
+        let decoder = Arc::clone(&self.decoder);
+        let committed_from = self.next_plan;
+        while self.next_plan < decoder.num_windows() {
+            let (start, end, _cut) = decoder.window_bounds(self.next_plan);
+            if end > self.filled_rounds {
+                break;
+            }
+            if !self.window_is_clean(start, end) {
+                let plan = decoder.plan(self.next_plan);
+                self.decode_plan(&decoder, &plan);
+            }
+            self.next_plan += 1;
+        }
+        if self.next_plan > committed_from {
+            // Committed windows never re-read their defects or dirty
+            // marks: carry targets always land at or above the next
+            // window's start.
+            let frontier = decoder.commit_horizon(self.next_plan);
+            self.defects
+                .retain(|&det, _| decoder.source.detector_round(det) >= frontier);
+            let committed = self.dirty.partition_point(|&r| r < frontier);
+            self.dirty.drain(..committed);
+        }
     }
 
-    /// See [`WindowedSession::push_round`].
-    pub fn push_round(&mut self, round: u32, detectors: &[u32], words: &[u64]) {
-        self.core.push_round(&self.decoder, round, detectors, words);
-    }
-
-    /// See [`WindowedSession::advance_silent`].
-    pub fn advance_silent(&mut self, rounds: u32) {
-        self.core.advance_silent(&self.decoder, rounds);
-    }
-
-    /// See [`WindowedSession::finish`].
-    pub fn finish(self) -> Vec<u64> {
-        self.core.finish(&self.decoder)
+    /// Decodes window `plan` against the residual defect words, XOR-ing
+    /// each lane's committed observables into `observables` and applying
+    /// carry flips back into `defects`. `window_batch` is session-owned
+    /// scratch (reshaped here), reused across the whole stream; the
+    /// backend call goes through [`Decoder::decode_batch_with`] with the
+    /// session's single [`DecodeWorkspace`], so every buffer — lane
+    /// extraction, Dijkstra state, blossom tables, peeling forest —
+    /// persists across windows and epochs and the steady-state decode
+    /// performs zero heap allocations.
+    fn decode_plan(&mut self, decoder: &WindowedDecoder, plan: &WindowPlan) {
+        if plan.globals.is_empty() {
+            return;
+        }
+        self.window_batch.reset_rows(plan.globals.len());
+        for (local, global) in plan.globals.iter().enumerate() {
+            let word = self.defects.get(global).copied().unwrap_or(0);
+            self.window_batch.set_word(local, word);
+        }
+        plan.decoder.decode_batch_with(
+            &self.window_batch,
+            &mut self.predictions,
+            &mut self.workspace,
+        );
+        for lane in 0..self.predictions.len() {
+            let prediction = self.predictions[lane];
+            self.observables[lane] ^= prediction & decoder.obs_mask;
+            if prediction & !decoder.obs_mask != 0 {
+                for &(bit, target) in &plan.carries {
+                    if (prediction >> bit) & 1 == 1 {
+                        self.flip(target, 1u64 << lane);
+                        // A carry re-dirties its target round, which may
+                        // sit arbitrarily far ahead (open-boundary commits
+                        // carry into not-yet-streamed rounds).
+                        self.mark_dirty(decoder.source.detector_round(target));
+                    }
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MwpmDecoder;
+    use crate::{MwpmDecoder, UnionFindDecoder};
 
     fn mwpm_factory() -> DecoderFactory {
         Box::new(|g| Box::new(MwpmDecoder::new(g)))
@@ -1435,14 +870,21 @@ mod tests {
         (g, (0..rounds as u32).collect())
     }
 
-    fn windowed(rounds: usize, config: WindowConfig) -> WindowedDecoder {
+    fn windowed(rounds: usize, config: WindowConfig) -> Arc<WindowedDecoder> {
         let (g, r) = time_strip(rounds);
-        WindowedDecoder::new(g, r, 1, config, mwpm_factory())
+        Arc::new(WindowedDecoder::new(g, r, 1, config, mwpm_factory()))
     }
 
-    fn windowed_sparse(rounds: usize, config: WindowConfig) -> WindowedDecoder {
-        let (g, r) = time_strip(rounds);
-        WindowedDecoder::sparse(g, r, 1, config, mwpm_factory())
+    /// Streams a whole syndrome history through a fresh one-lane session
+    /// of a decoder whose round `t` holds exactly detector `t` (every
+    /// graph in this module); duplicate detectors cancel pairwise.
+    fn stream(d: &Arc<WindowedDecoder>, syndrome: &[usize]) -> u64 {
+        let mut session = d.session(1);
+        for t in 0..d.total_rounds() {
+            let word = syndrome.iter().filter(|&&s| s == t as usize).count() as u64 & 1;
+            session.push_round(t, &[t], &[word]);
+        }
+        session.finish()[0]
     }
 
     #[test]
@@ -1452,7 +894,7 @@ mod tests {
         assert_eq!(d.total_rounds(), 6);
         let full = MwpmDecoder::new(time_strip(6).0);
         for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 2, 4]] {
-            assert_eq!(d.decode(&s), full.decode(&s), "syndrome {s:?}");
+            assert_eq!(stream(&d, &s), full.decode(&s), "syndrome {s:?}");
         }
     }
 
@@ -1467,9 +909,9 @@ mod tests {
 
     #[test]
     fn window_bounds_match_the_eager_sweep() {
-        // The closed-form window arithmetic must reproduce the original
-        // eager loop (start += commit until the window reaches the end)
-        // for every shape, including commit == window and window > total.
+        // The closed-form window arithmetic must reproduce the reference
+        // sweep (start += commit until the window reaches the end) for
+        // every shape, including commit == window and window > total.
         for total in [1u32, 2, 5, 8, 9, 16] {
             for window in 1..=total + 2 {
                 for commit in 1..=window {
@@ -1512,7 +954,7 @@ mod tests {
         for w in 1..=6u32 {
             let d = windowed(6, WindowConfig::new(w));
             for t in 0..5 {
-                assert_eq!(d.decode(&[t, t + 1]), 0, "pair at {t}, window {w}");
+                assert_eq!(stream(&d, &[t, t + 1]), 0, "pair at {t}, window {w}");
             }
         }
         // Lone boundary defects need at least one round of lookahead to
@@ -1520,8 +962,8 @@ mod tests {
         // boundary"; from w = 2 on they match the full decode.
         for w in 2..=6u32 {
             let d = windowed(6, WindowConfig::new(w));
-            assert_eq!(d.decode(&[0]), 1, "window {w}");
-            assert_eq!(d.decode(&[5]), 0, "window {w}");
+            assert_eq!(stream(&d, &[0]), 1, "window {w}");
+            assert_eq!(stream(&d, &[5]), 0, "window {w}");
         }
     }
 
@@ -1533,31 +975,36 @@ mod tests {
         // explained) that differs from the full decode's left-boundary
         // match. This pins the greedy semantics.
         let d = windowed(6, WindowConfig::new(1));
-        assert_eq!(d.decode(&[0]), 0);
-        assert_eq!(d.decode(&[5]), 0);
+        assert_eq!(stream(&d, &[0]), 0);
+        assert_eq!(stream(&d, &[5]), 0);
     }
 
     #[test]
     fn duplicates_cancel_pairwise() {
         let d = windowed(5, WindowConfig::new(2));
-        assert_eq!(d.decode(&[3, 3]), 0);
-        assert_eq!(d.decode(&[0, 2, 0]), d.decode(&[2]));
+        assert_eq!(stream(&d, &[3, 3]), 0);
+        assert_eq!(stream(&d, &[0, 2, 0]), stream(&d, &[2]));
     }
 
     #[test]
     fn batch_matches_scalar() {
+        // Lanes are independent: a five-lane session commits, per lane,
+        // exactly what a one-lane session fed that lane's syndrome does.
         let d = windowed(7, WindowConfig::new(3));
         let syndromes = [vec![], vec![0], vec![1, 2], vec![0, 6], vec![2, 3, 5]];
-        let mut batch = BitBatch::with_lanes(7, syndromes.len());
-        for (lane, s) in syndromes.iter().enumerate() {
-            for &det in s {
-                batch.set(det, lane, true);
+        let mut session = d.session(syndromes.len());
+        for t in 0..7u32 {
+            let mut word = 0u64;
+            for (lane, s) in syndromes.iter().enumerate() {
+                if s.contains(&(t as usize)) {
+                    word |= 1 << lane;
+                }
             }
+            session.push_round(t, &[t], &[word]);
         }
-        let mut predictions = Vec::new();
-        d.decode_batch(&batch, &mut predictions);
+        let predictions = session.finish();
         for (lane, s) in syndromes.iter().enumerate() {
-            assert_eq!(predictions[lane], d.decode(s), "lane {lane}: {s:?}");
+            assert_eq!(predictions[lane], stream(&d, s), "lane {lane}: {s:?}");
         }
     }
 
@@ -1636,22 +1083,22 @@ mod tests {
             },
         ];
         for window in [1u32, 2, 3, 6] {
-            let spliced = WindowedDecoder::from_epochs(
+            let spliced = Arc::new(WindowedDecoder::from_epochs(
                 6,
                 &epochs,
                 1,
                 WindowConfig::new(window),
                 mwpm_factory(),
-            );
-            let mono = WindowedDecoder::new(
+            ));
+            let mono = Arc::new(WindowedDecoder::new(
                 full.clone(),
                 rounds.clone(),
                 1,
                 WindowConfig::new(window),
                 mwpm_factory(),
-            );
+            ));
             for s in [vec![], vec![0], vec![2, 3], vec![0, 5], vec![1, 4]] {
-                assert_eq!(spliced.decode(&s), mono.decode(&s), "w={window} {s:?}");
+                assert_eq!(stream(&spliced, &s), stream(&mono, &s), "w={window} {s:?}");
             }
         }
     }
@@ -1681,15 +1128,15 @@ mod tests {
             },
         ];
         for window in 1..=4u32 {
-            let d = WindowedDecoder::from_epochs(
+            let d = Arc::new(WindowedDecoder::from_epochs(
                 4,
                 &epochs,
                 1,
                 WindowConfig::new(window),
                 mwpm_factory(),
-            );
-            assert_eq!(d.decode(&[1, 2]), 0, "boundary pair, window {window}");
-            assert_eq!(d.decode(&[2, 3]), 0, "late pair, window {window}");
+            ));
+            assert_eq!(stream(&d, &[1, 2]), 0, "boundary pair, window {window}");
+            assert_eq!(stream(&d, &[2, 3]), 0, "late pair, window {window}");
         }
     }
 
@@ -1720,42 +1167,29 @@ mod tests {
     }
 
     #[test]
-    fn owned_session_matches_borrowed_and_outlives_its_scope() {
-        let rounds = 8usize;
-        let decoder = Arc::new(windowed(rounds, WindowConfig::new(4)));
-        // Lane 0 carries the syndrome {1, 2}; lane 1 the syndrome {0}.
-        let word_of = |t: usize| -> u64 {
-            let mut w = 0u64;
-            if t == 1 || t == 2 {
-                w |= 1;
-            }
-            if t == 0 {
-                w |= 2;
-            }
-            w
-        };
-
-        let mut owned = {
-            // The borrowing `session()` could not escape this block; the
-            // owned one can, and keeps the decoder alive through its Arc.
+    fn session_outlives_its_scope_and_is_send() {
+        let rounds = 8u32;
+        let decoder = windowed(rounds as usize, WindowConfig::new(4));
+        let mut session = {
+            // The session keeps the decoder alive through its own Arc, so
+            // it escapes the block that opened it.
             let handle = Arc::clone(&decoder);
-            handle.into_session(2)
+            handle.session(2)
         };
-        let mut borrowed = decoder.session(2);
+        // Lane 0 carries the syndrome {1, 2}; lane 1 the syndrome {0}.
         for t in 0..rounds {
-            let (det, words) = ([t as u32], [word_of(t)]);
-            owned.push_round(t as u32, &det, &words);
-            borrowed.push_round(t as u32, &det, &words);
-            assert_eq!(owned.windows_committed(), borrowed.windows_committed());
-            assert_eq!(owned.observables(), borrowed.observables());
+            let word = match t {
+                0 => 0b10,
+                1 | 2 => 0b01,
+                _ => 0,
+            };
+            session.push_round(t, &[t], &[word]);
         }
-        assert_eq!(owned.filled_rounds(), rounds as u32);
-
-        // Owned sessions are Send: finish on another thread.
-        let expect = borrowed.finish();
-        let got = std::thread::spawn(move || owned.finish()).join().unwrap();
-        assert_eq!(got, expect);
-        assert_eq!(got, vec![0, decoder.decode(&[0])]);
+        assert_eq!(session.filled_rounds(), rounds);
+        // Sessions are Send: finish on another thread.
+        let got = std::thread::spawn(move || session.finish()).join().unwrap();
+        assert_eq!(got, vec![stream(&decoder, &[1, 2]), stream(&decoder, &[0])]);
+        assert_eq!(got, vec![0, 1]);
     }
 
     #[test]
@@ -1792,26 +1226,32 @@ mod tests {
 
     #[test]
     fn sparse_decodes_bit_identically_to_eager() {
-        // The lazy window-plan path must reproduce the eager decoder's
-        // node order, edge order, and instrumentation exactly — decode
-        // results agree bit for bit across window shapes and syndromes.
-        for rounds in [5usize, 8, 12] {
-            for window in 1..=6u32 {
-                let eager = windowed(rounds, WindowConfig::new(window));
-                let sparse = windowed_sparse(rounds, WindowConfig::new(window));
-                assert!(sparse.is_sparse() && !eager.is_sparse());
+        // The lazy window plans must reproduce the retired eager
+        // per-window construction's node order, edge order and
+        // instrumentation exactly. Pinned: the eager decoder's results for
+        // these inputs, one bitmask per (rounds, window) whose bit `i` is
+        // syndrome `i`'s flip.
+        const EAGER: [[u8; 6]; 3] = [
+            [0, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010],
+            [0, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010],
+            [0, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010, 0b01_0010],
+        ];
+        for (rounds, masks) in [5usize, 8, 12].into_iter().zip(EAGER) {
+            for (window, mask) in (1..=6u32).zip(masks) {
+                let d = windowed(rounds, WindowConfig::new(window));
                 let last = rounds - 1;
-                for s in [
+                let syndromes = [
                     vec![],
                     vec![0],
                     vec![last],
                     vec![1, 2],
                     vec![0, last],
                     vec![2, 3, last - 1],
-                ] {
+                ];
+                for (i, s) in syndromes.iter().enumerate() {
                     assert_eq!(
-                        sparse.decode(&s),
-                        eager.decode(&s),
+                        stream(&d, s),
+                        u64::from(mask >> i & 1),
                         "rounds={rounds} w={window} {s:?}"
                     );
                 }
@@ -1823,63 +1263,111 @@ mod tests {
     fn structurally_identical_windows_share_one_backend() {
         // A long uniform time strip has three distinct window shapes: the
         // first (initial boundary + observable), the steady-state
-        // interior, and the final (cut = MAX, end boundary). 14 windows
-        // must compile far fewer backends than the eager path's
-        // one-per-window.
-        let d = windowed_sparse(30, WindowConfig::new(4));
+        // interior, and the final (cut = MAX, end boundary). A stream
+        // dirtying every one of the 14 windows compiles exactly those
+        // three backends (the retired eager path paid one per window).
+        let d = windowed(30, WindowConfig::new(4));
         assert_eq!(d.num_windows(), 14);
         assert_eq!(d.compiled_backends(), 0, "plans are lazy");
-        // Touch every window via a full-history decode.
-        assert_eq!(d.decode(&[7, 8]), 0);
-        assert!(
-            d.compiled_backends() <= 4,
-            "expected ≤ 4 distinct window graphs, got {}",
-            d.compiled_backends()
-        );
-        // The eager twin really pays one backend per window.
-        assert_eq!(windowed(30, WindowConfig::new(4)).compiled_backends(), 14);
+        assert_eq!(stream(&d, &(0..30).collect::<Vec<_>>()), 0);
+        assert_eq!(d.compiled_backends(), 3);
+        assert_eq!(d.live_plans(), 14, "the memo keeps a short horizon");
+    }
+
+    #[test]
+    fn second_session_resolves_no_plan_again() {
+        // Sibling sessions over one short decoder share the plan memo:
+        // once the first session has resolved every window, the second
+        // hits the memo for each one — the very same plans, no backend
+        // compiled and no plan rebuilt.
+        let d = windowed(30, WindowConfig::new(4));
+        let every_round: Vec<usize> = (0..30).collect();
+        assert_eq!(stream(&d, &every_round), 0);
+        let memo = |d: &WindowedDecoder| -> Vec<(usize, Arc<WindowPlan>)> {
+            let table = d.plans.lock().unwrap();
+            let mut plans: Vec<_> = table
+                .resolved
+                .iter()
+                .map(|(&i, p)| (i, Arc::clone(p)))
+                .collect();
+            plans.sort_unstable_by_key(|&(i, _)| i);
+            plans
+        };
+        let before = memo(&d);
+        let backends = d.compiled_backends();
+        assert_eq!(before.len(), d.num_windows());
+        assert_eq!(stream(&d, &every_round), 0);
+        let after = memo(&d);
+        assert_eq!(d.compiled_backends(), backends);
+        assert_eq!(d.live_plans(), before.len());
+        for ((i, a), (j, b)) in before.iter().zip(&after) {
+            assert_eq!(i, j);
+            assert!(Arc::ptr_eq(a, b), "window {i} was resolved again");
+        }
+    }
+
+    #[test]
+    fn canonical_backends_decode_an_all_zero_window_to_zero() {
+        // The premise of fast-forward: every canonical backend decodes an
+        // all-zero window to zero observable flips and zero carries, in
+        // every lane, so skipping a clean window is exact.
+        let uf_factory = || -> DecoderFactory { Box::new(|g| Box::new(UnionFindDecoder::new(g))) };
+        for make in [mwpm_factory as fn() -> DecoderFactory, uf_factory] {
+            for (rounds, window) in [(6usize, 6u32), (30, 4), (9, 2)] {
+                let (g, r) = time_strip(rounds);
+                let d = Arc::new(WindowedDecoder::new(
+                    g,
+                    r,
+                    1,
+                    WindowConfig::new(window),
+                    make(),
+                ));
+                stream(&d, &(0..rounds).collect::<Vec<_>>());
+                let canon = d.plans.lock().unwrap().canon.clone();
+                assert!(!canon.is_empty());
+                for backend in canon {
+                    let zeros = BitBatch::zeros(backend.graph().num_nodes());
+                    let mut predictions = Vec::new();
+                    backend.decode_batch(&zeros, &mut predictions);
+                    assert!(predictions.iter().all(|&p| p == 0), "{predictions:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn advance_silent_matches_empty_pushes() {
         let rounds = 20usize;
-        for sparse in [false, true] {
-            let cfg = WindowConfig::new(4);
-            let d = if sparse {
-                windowed_sparse(rounds, cfg)
-            } else {
-                windowed(rounds, cfg)
-            };
-            let mut bulk = d.session(2);
-            let mut dense = d.session(2);
-            // A defect pair mid-stream, silence elsewhere.
-            for t in 0..rounds as u32 {
-                let word = if t == 9 || t == 10 { 0b01 } else { 0 };
-                dense.push_round(t, &[t], &[word]);
-            }
-            bulk.advance_silent(9);
-            bulk.push_round(9, &[9], &[0b01]);
-            bulk.push_round(10, &[10], &[0b01]);
-            bulk.advance_silent(rounds as u32 - 11);
-            assert_eq!(bulk.windows_committed(), dense.windows_committed());
-            assert_eq!(bulk.finish(), dense.finish(), "sparse={sparse}");
+        let d = windowed(rounds, WindowConfig::new(4));
+        let mut bulk = d.session(2);
+        let mut dense = d.session(2);
+        // A defect pair mid-stream, silence elsewhere.
+        for t in 0..rounds as u32 {
+            let word = if t == 9 || t == 10 { 0b01 } else { 0 };
+            dense.push_round(t, &[t], &[word]);
         }
+        bulk.advance_silent(9);
+        bulk.push_round(9, &[9], &[0b01]);
+        bulk.push_round(10, &[10], &[0b01]);
+        bulk.advance_silent(rounds as u32 - 11);
+        assert_eq!(bulk.windows_committed(), dense.windows_committed());
+        assert_eq!(bulk.finish(), dense.finish());
     }
 
     #[test]
     fn fast_forward_skips_clean_windows_exactly() {
-        // Defects confined to one window of a long stream: the sparse
-        // session must decode only the windows overlapping the event (and
-        // any carries) yet agree with the eager decode bit for bit.
-        let rounds = 40usize;
-        let eager = windowed(rounds, WindowConfig::new(4));
-        let sparse = windowed_sparse(rounds, WindowConfig::new(4));
-        for pair_at in [0u32, 13, 21, 38] {
-            let s = vec![pair_at as usize, pair_at as usize + 1];
-            assert_eq!(sparse.decode(&s), eager.decode(&s), "pair at {pair_at}");
+        // Defects confined to one window of a long stream: the session
+        // decodes only the windows overlapping the event (and any
+        // carries), yet commits what the retired eager decoder — which
+        // decoded every window — did for the same input (pinned: 0).
+        let d = windowed(40, WindowConfig::new(4));
+        for pair_at in [0usize, 13, 21, 38] {
+            assert_eq!(stream(&d, &[pair_at, pair_at + 1]), 0, "pair at {pair_at}");
         }
-        // Only the windows near the last touched rounds compiled a plan.
-        assert!(sparse.compiled_backends() <= 4);
+        // Only the windows near the touched rounds resolved a plan, over
+        // three distinct backends.
+        assert_eq!(d.compiled_backends(), 3);
+        assert!(d.live_plans() < d.num_windows());
     }
 
     #[test]
@@ -1889,7 +1377,7 @@ mod tests {
         // so fast-forwarding must not skip the follow-up window that
         // consumes the carry.
         let rounds = 32usize;
-        let d = windowed_sparse(rounds, WindowConfig::new(2).with_commit(1));
+        let d = windowed(rounds, WindowConfig::new(2).with_commit(1));
         let mut session = d.session(1);
         session.advance_silent(20);
         // Pair split exactly across the commit cut of window [20, 22).
@@ -1910,39 +1398,33 @@ mod tests {
 
     #[test]
     fn committed_plans_are_evicted_on_long_sparse_streams() {
-        // A 10⁵-round sparse stream with a defect pair every ~1000 rounds
-        // resolves a handful of plans per event; once the session's commit
-        // frontier passes a window its plan is evicted, so the resolved
-        // table must stay O(in-flight windows), never O(windows).
+        // A 10⁵-round stream with a defect pair every 37 rounds resolves
+        // a few plans per event — several thousand in all, far past the
+        // memo cap. Once the memo is full, the resolving session drops
+        // every plan below its commit frontier, so the memo stays bounded
+        // by the cap, never O(windows).
         let rounds = 100_000u32;
-        let d = windowed_sparse(rounds as usize, WindowConfig::new(4));
+        let d = windowed(rounds as usize, WindowConfig::new(4));
         let mut session = d.session(1);
         let mut max_live = 0usize;
         let mut t = 0u32;
-        let mut next_event = 500u32;
-        while t < rounds {
-            if t == next_event && t + 1 < rounds {
-                session.push_round(t, &[t], &[1]);
-                session.push_round(t + 1, &[t + 1], &[1]);
-                t += 2;
-                next_event += 1009;
-            } else {
-                let stop = if next_event > t && next_event < rounds {
-                    next_event
-                } else {
-                    rounds
-                };
-                session.advance_silent(stop - t);
-                t = stop;
-            }
+        while t + 2 <= rounds {
+            session.push_round(t, &[t], &[1]);
+            session.push_round(t + 1, &[t + 1], &[1]);
+            let silent = 35.min(rounds - t - 2);
+            session.advance_silent(silent);
+            t += 2 + silent;
             max_live = max_live.max(d.live_plans());
         }
-        assert!(max_live <= 8, "resolved-plan table grew to {max_live}");
-        // The events did force plan resolution (canonical backends exist,
-        // and structural sharing is untouched by eviction) ...
+        session.advance_silent(rounds - t);
+        assert!(
+            (PLAN_MEMO_CAP / 2..=PLAN_MEMO_CAP).contains(&max_live),
+            "memo high-water {max_live}, cap {PLAN_MEMO_CAP}"
+        );
+        assert!(d.live_plans() <= PLAN_MEMO_CAP);
+        // The events did force plan resolution, and eviction leaves the
+        // shared backends alone.
         assert!((1..=4).contains(&d.compiled_backends()));
-        // ... yet every committed plan has been dropped again.
-        assert_eq!(d.live_plans(), 0, "committed plans must be evicted");
         assert_eq!(session.finish(), vec![0], "each pair cancels locally");
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Three layers of guarantees, from structural to statistical:
 //!
-//! 1. **Self-parity** — `WindowedDecoder::decode_batch` must agree with
-//!    its own scalar `decode` on every lane, for any window/commit split
-//!    including the degenerate `w = 1` and `w = rounds`, any lane count,
-//!    and both inner backends (the windowed decoder is a [`Decoder`] like
-//!    any other and must honour the trait's batch/scalar contract).
+//! 1. **Lane independence** — a multi-lane session must commit, on every
+//!    lane, what a one-lane session fed that lane's syndrome commits, for
+//!    any window/commit split including the degenerate `w = 1` and
+//!    `w = rounds`, any lane count, and both inner backends.
 //! 2. **Degenerate-window equivalence** — with `w = rounds` there is a
 //!    single window whose sub-graph *is* the full graph, so the streamed
 //!    result must be bit-identical to the inner decoder's full-batch
@@ -17,6 +16,8 @@
 //!    full-history decode, bit for bit (the surface-code version of this
 //!    statement — window ≥ 2·d — lives in
 //!    `crates/sim/tests/streaming_equivalence.rs`).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,6 +81,33 @@ fn layered_graph(rng: &mut StdRng, rounds: usize, chains: usize) -> (DecodingGra
     layered_graph_with(rng, rounds, chains, 0.01, 0.2)
 }
 
+/// Streams a whole-history batch round by round through a fresh session
+/// of `windowed` (detector `i` lives in round `rounds_of[i]`) and returns
+/// each lane's committed observables.
+fn stream_batch(windowed: &Arc<WindowedDecoder>, rounds_of: &[u32], batch: &BitBatch) -> Vec<u64> {
+    let mut session = windowed.session(batch.lanes());
+    for round in 0..windowed.total_rounds() {
+        let detectors: Vec<u32> = (0..rounds_of.len() as u32)
+            .filter(|&d| rounds_of[d as usize] == round)
+            .collect();
+        let words: Vec<u64> = detectors
+            .iter()
+            .map(|&d| batch.words()[d as usize])
+            .collect();
+        session.push_round(round, &detectors, &words);
+    }
+    session.finish()
+}
+
+/// [`stream_batch`] for one syndrome on one lane.
+fn stream_syndrome(windowed: &Arc<WindowedDecoder>, rounds_of: &[u32], syndrome: &[usize]) -> u64 {
+    let mut batch = BitBatch::with_lanes(rounds_of.len(), 1);
+    for &d in syndrome {
+        batch.set(d, 0, !batch.get(d, 0));
+    }
+    stream_batch(windowed, rounds_of, &batch)[0]
+}
+
 /// Random sparse syndromes, one per lane.
 fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> (BitBatch, Vec<Vec<usize>>) {
     let mut batch = BitBatch::with_lanes(n, lanes);
@@ -100,8 +128,8 @@ fn random_batch(rng: &mut StdRng, n: usize, lanes: usize) -> (BitBatch, Vec<Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Self-parity over random graphs, window/commit splits (including
-    /// w = 1 and w = rounds), lane masks, and both backends.
+    /// Lane independence over random graphs, window/commit splits
+    /// (including w = 1 and w = rounds), lane masks, and both backends.
     #[test]
     fn windowed_batch_matches_windowed_scalar(
         seed in 0u64..1 << 48,
@@ -114,22 +142,21 @@ proptest! {
         let (g, rounds_of) = layered_graph(&mut rng, rounds, chains);
         let window = window.min(rounds as u32);
         let commit = rng.gen_range(1..window + 1);
-        let windowed = WindowedDecoder::new(
+        let windowed = Arc::new(WindowedDecoder::new(
             g,
-            rounds_of,
+            rounds_of.clone(),
             1,
             WindowConfig::new(window).with_commit(commit),
             backend.factory(),
-        );
+        ));
         let lanes = rng.gen_range(1..65);
         let (batch, per_lane) = random_batch(&mut rng, rounds * chains, lanes);
-        let mut predictions = Vec::new();
-        windowed.decode_batch(&batch, &mut predictions);
+        let predictions = stream_batch(&windowed, &rounds_of, &batch);
         prop_assert_eq!(predictions.len(), lanes);
         for (lane, syndrome) in per_lane.iter().enumerate() {
             prop_assert_eq!(
                 predictions[lane],
-                windowed.decode(syndrome),
+                stream_syndrome(&windowed, &rounds_of, syndrome),
                 "lane {} syndrome {:?} (w {} commit {} {:?})",
                 lane, syndrome, window, commit, backend
             );
@@ -148,14 +175,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
         let (g, rounds_of) = layered_graph(&mut rng, rounds, chains);
         let inner = backend.build(g.clone());
-        let windowed =
-            WindowedDecoder::new(g, rounds_of, 1, WindowConfig::new(rounds as u32), backend.factory());
+        let windowed = Arc::new(WindowedDecoder::new(
+            g,
+            rounds_of.clone(),
+            1,
+            WindowConfig::new(rounds as u32),
+            backend.factory(),
+        ));
         prop_assert_eq!(windowed.num_windows(), 1);
         let lanes = rng.gen_range(1..65);
         let (batch, _) = random_batch(&mut rng, rounds * chains, lanes);
-        let mut streamed = Vec::new();
+        let streamed = stream_batch(&windowed, &rounds_of, &batch);
         let mut full = Vec::new();
-        windowed.decode_batch(&batch, &mut streamed);
         inner.decode_batch(&batch, &mut full);
         prop_assert_eq!(streamed, full);
     }
@@ -174,13 +205,13 @@ proptest! {
         // the 4 rounds of lookahead, the regime the guarantee covers.
         let (g, rounds_of) = layered_graph_with(&mut rng, rounds, chains, 0.002, 0.015);
         let inner = backend.build(g.clone());
-        let windowed = WindowedDecoder::new(
+        let windowed = Arc::new(WindowedDecoder::new(
             g.clone(),
-            rounds_of,
+            rounds_of.clone(),
             1,
             WindowConfig::new(6).with_commit(2),
             backend.factory(),
-        );
+        ));
         let mut batch = BitBatch::zeros(rounds * chains);
         for lane in 0..64 {
             let (syndrome, _) = g.sample_errors(&mut rng);
@@ -188,9 +219,8 @@ proptest! {
                 batch.set(d, lane, true);
             }
         }
-        let mut streamed = Vec::new();
+        let streamed = stream_batch(&windowed, &rounds_of, &batch);
         let mut full = Vec::new();
-        windowed.decode_batch(&batch, &mut streamed);
         inner.decode_batch(&batch, &mut full);
         prop_assert_eq!(streamed, full, "{:?}", backend);
     }
@@ -216,13 +246,13 @@ fn multiple_observable_bits_survive_windowing() {
     }
     let rounds_of: Vec<u32> = (0..rounds * 2).map(|i| (i / 2) as u32).collect();
     let inner = MwpmDecoder::new(g.clone());
-    let windowed = WindowedDecoder::new(
+    let windowed = Arc::new(WindowedDecoder::new(
         g.clone(),
-        rounds_of,
+        rounds_of.clone(),
         2,
         WindowConfig::new(6).with_commit(2),
         Box::new(|wg| Box::new(MwpmDecoder::new(wg))),
-    );
+    ));
     // Sampled noise: both observable bits stream bit-identically.
     let mut batch = BitBatch::zeros(rounds * 2);
     for lane in 0..64 {
@@ -231,8 +261,8 @@ fn multiple_observable_bits_survive_windowing() {
             batch.set(d, lane, true);
         }
     }
-    let (mut streamed, mut full) = (Vec::new(), Vec::new());
-    windowed.decode_batch(&batch, &mut streamed);
+    let streamed = stream_batch(&windowed, &rounds_of, &batch);
+    let mut full = Vec::new();
     inner.decode_batch(&batch, &mut full);
     assert_eq!(streamed, full);
     // Adversarial syndromes: the streamed result may differ from the full
@@ -240,7 +270,7 @@ fn multiple_observable_bits_survive_windowing() {
     for trial in 0..200 {
         let n = rng.gen_range(0..6);
         let syndrome: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rounds * 2)).collect();
-        let prediction = windowed.decode(&syndrome);
+        let prediction = stream_syndrome(&windowed, &rounds_of, &syndrome);
         assert_eq!(
             prediction & !0b11,
             0,

@@ -5,22 +5,27 @@
 //! warm-up phase has grown every arena to its high-water mark, the test
 //! streams another hundred rounds — defect-carrying and silent alike —
 //! through a windowed session of each backend and asserts the allocation
-//! counter does not move at all. This pins the PR 8 arena design: one
-//! [`DecodeWorkspace`] per session feeds the MWPM pipeline (Dijkstra,
+//! counter does not move at all. This pins the session arena design: one
+//! `DecodeWorkspace` per session feeds the MWPM pipeline (Dijkstra,
 //! matching instance, blossom tables) and the union-find peeling forest,
-//! and every buffer is reset by clearing, never by reallocating.
+//! every buffer is reset by clearing, never by reallocating, and the
+//! session's defect and dirty-round containers keep their capacity as
+//! committed entries are pruned.
 //!
-//! The decoders are built *eager* on purpose: sparse decoders resolve
-//! window plans lazily, and a first-time plan resolution legitimately
-//! allocates (that is the memory/latency trade sparse mode makes; the
-//! plans are evicted again once committed). Eager decoders resolve
-//! everything at construction, so their push path must be exactly zero.
+//! Window plans resolve lazily, and a first-time resolution legitimately
+//! allocates (the plan shell and, for a new window shape, its backend).
+//! The steady state therefore starts once every plan is in the decoder's
+//! memo: a first session streams the whole horizon, resolving every
+//! window; a second session over the same decoder warms its own arena,
+//! and only then is its push path measured — where it must be exactly
+//! zero.
 //!
 //! Both backends run inside one `#[test]` — the counter is global, so
 //! concurrent tests in the same binary would pollute each other's deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use surf_matching::{
     DecoderFactory, DecodingGraph, MwpmDecoder, UnionFindDecoder, WindowConfig, WindowedDecoder,
@@ -87,7 +92,7 @@ const CHAINS: usize = 3;
 /// `4` of every 10-round period) on the first two chains, two lanes with
 /// different masks — enough to exercise multi-defect matching, boundary
 /// competition, and cross-cut carries at every window phase.
-fn push_pattern(session: &mut WindowedSession<'_>, t: u32) {
+fn push_pattern(session: &mut WindowedSession, t: u32) {
     let base = t * CHAINS as u32;
     if matches!(t % 10, 3 | 4) {
         session.push_round(t, &[base, base + 1], &[0b11, 0b01]);
@@ -98,13 +103,20 @@ fn push_pattern(session: &mut WindowedSession<'_>, t: u32) {
 
 fn assert_steady_state_is_allocation_free(factory: DecoderFactory, label: &str) {
     let (g, rounds_of) = strip(ROUNDS as usize, CHAINS);
-    let decoder = WindowedDecoder::new(
+    let decoder = Arc::new(WindowedDecoder::new(
         g,
         rounds_of,
         1,
         WindowConfig::new(8).with_commit(4),
         factory,
-    );
+    ));
+    // Resolve every window plan into the decoder's memo.
+    let mut first = decoder.session(2);
+    for t in 0..ROUNDS {
+        push_pattern(&mut first, t);
+    }
+    assert_eq!(first.finish(), vec![0, 0]);
+    assert_eq!(decoder.live_plans(), decoder.num_windows());
     let mut session = decoder.session(2);
     // Warm-up: every arena (lane buffer, backend scratch, blossom tables,
     // window sub-batch) grows to its high-water mark. The pattern period

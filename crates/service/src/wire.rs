@@ -88,8 +88,9 @@ pub struct SessionSpec {
     pub decoder: u8,
     /// Decoder prior: 0 = informed, 1 = nominal.
     pub prior: u8,
-    /// 1 = sparse event-driven streaming (lazily compiled window plans,
-    /// syndrome-silent windows fast-forwarded); 0 = dense. Results are
+    /// 1 = compile the periodic model template when the horizon proves
+    /// periodic (resident model memory independent of the horizon); 0 =
+    /// the monolithic model. See `SessionConfig::sparse`; results are
     /// bit-identical either way.
     pub sparse: u8,
     /// Per-round data-qubit depolarizing probability.

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use surf_defects::{DefectEpisode, DefectEvent, DefectSchedule};
 use surf_deformer_core::PatchTimeline;
 use surf_lattice::Basis;
-use surf_matching::{OwnedWindowedSession, RoundModelSource, WindowConfig, WindowedDecoder};
+use surf_matching::{RoundModelSource, WindowConfig, WindowedDecoder, WindowedSession};
 
 use crate::memory::DecoderKind;
 use crate::model::DecoderPrior;
@@ -75,16 +75,13 @@ pub struct SessionConfig {
     /// Defect episodes known at compile time (more can be
     /// [injected](DecodeSession::inject_event) mid-stream).
     pub schedule: DefectSchedule,
-    /// Compile the windowed decoder in sparse mode: window plans resolve
-    /// lazily (structurally identical windows share one backend) and
-    /// sessions fast-forward through defect-free windows — exact, and
-    /// required for 10⁵+ round horizons where eager per-window compilation
-    /// dominates. When the horizon is additionally long enough to prove
-    /// periodic, sparse sessions compile a [`PeriodicModel`] template and
-    /// a round-indexed virtual decoder instead of the monolithic model,
-    /// making resident model memory O(epochs + window) instead of
-    /// O(rounds) — outputs stay bit-identical either way. Dense mode
-    /// keeps the eager decoder bit for bit.
+    /// Chooses the model the session compiles. When set and
+    /// the horizon is long enough to prove periodic, the session compiles
+    /// a [`PeriodicModel`] template served by index arithmetic, making
+    /// resident model memory O(epochs + window) instead of O(rounds);
+    /// otherwise it compiles the monolithic [`TimelineModel`]. Outputs
+    /// are bit-identical either way, and both feed the same windowed
+    /// decoder (lazy shared window plans, clean-window fast-forward).
     pub sparse: bool,
 }
 
@@ -128,7 +125,7 @@ impl SessionConfig {
         self
     }
 
-    /// Switches sparse (event-driven) compilation on or off; see
+    /// Switches the periodic-template compilation on or off; see
     /// [`SessionConfig::sparse`].
     pub fn with_sparse(mut self, sparse: bool) -> Self {
         self.sparse = sparse;
@@ -292,7 +289,7 @@ impl SessionShared {
                 config.prior,
             ) {
                 let pm = Arc::new(pm);
-                let decoder = Arc::new(WindowedDecoder::virtual_source(
+                let decoder = Arc::new(WindowedDecoder::from_source(
                     Arc::clone(&pm) as Arc<dyn RoundModelSource>,
                     1,
                     config.window,
@@ -314,12 +311,7 @@ impl SessionShared {
             &config.schedule,
             config.prior,
         );
-        let build = if config.sparse {
-            WindowedDecoder::from_epochs_sparse
-        } else {
-            WindowedDecoder::from_epochs
-        };
-        let decoder = Arc::new(build(
+        let decoder = Arc::new(WindowedDecoder::from_epochs(
             tm.model.num_detectors,
             &tm.graph_epochs(),
             1,
@@ -391,7 +383,7 @@ enum RoundRecord {
 /// contract and [`SessionConfig`] for construction.
 pub struct DecodeSession {
     shared: Arc<SessionShared>,
-    inner: OwnedWindowedSession,
+    inner: WindowedSession,
     /// Pushed rounds, kept for replay on
     /// [`inject_event`](Self::inject_event)/[`replan`](Self::replan).
     history: Vec<RoundRecord>,
@@ -401,7 +393,7 @@ pub struct DecodeSession {
 
 impl DecodeSession {
     fn over(shared: Arc<SessionShared>, lanes: usize) -> Self {
-        let inner = Arc::clone(&shared.decoder).into_session(lanes);
+        let inner = shared.decoder.session(lanes);
         DecodeSession {
             shared,
             inner,
@@ -577,10 +569,10 @@ impl DecodeSession {
     }
 
     /// Feeds up to `rounds` consecutive defect-free rounds in one call —
-    /// the bulk twin of pushing that many all-zero rounds. With a
-    /// [sparse](SessionConfig::sparse) session, windows that complete
-    /// inside the stretch and saw no defect commit without invoking the
-    /// decoder backend, so skipping costs O(windows), not O(rounds).
+    /// the bulk twin of pushing that many all-zero rounds. Windows that
+    /// complete inside the stretch and saw no defect commit without
+    /// invoking the decoder backend, so skipping costs O(windows), not
+    /// O(rounds).
     ///
     /// The advance clamps at the next geometry-epoch boundary (so every
     /// [`DeformationNotice`] still fires) and at the stream end; the
@@ -717,7 +709,7 @@ impl DecodeSession {
             }
             round += 1;
         }
-        let mut inner = Arc::clone(&shared.decoder).into_session(self.inner.lanes());
+        let mut inner = shared.decoder.session(self.inner.lanes());
         let mut renamed = renamed.into_iter();
         for record in &mut self.history {
             let r = inner.filled_rounds();

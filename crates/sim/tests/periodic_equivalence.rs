@@ -2,8 +2,8 @@
 //!
 //! The tentpole guarantee of the periodic compilation: whenever
 //! [`PeriodicModel::build`] returns `Some`, the sparse streamed pipeline
-//! — which routes through the periodic template and the virtual windowed
-//! decoder — produces failure counts **bit-identical** to the dense
+//! — which routes through the periodic template served to the windowed
+//! decoder as a `RoundModelSource` — produces failure counts **bit-identical** to the dense
 //! pipeline, whose sessions still decode the monolithic
 //! `TimelineModel`. Since the dense path is itself pinned to
 //! `run_basis`/full-history decoding by `streaming_equivalence.rs` and

@@ -25,6 +25,8 @@
 //! suites below therefore run at the paper's noise scale, where the
 //! fixed seeds are verified tie-free.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,21 +72,33 @@ fn assert_bit_identical(
     batches: usize,
 ) {
     let full = kind.build(model.graph.clone());
-    let windowed = WindowedDecoder::new(
+    let windowed = Arc::new(WindowedDecoder::new(
         model.graph.clone(),
         model.detector_rounds.clone(),
         1,
         config,
         kind.factory(),
-    );
+    ));
     let sampler = model.batch_sampler();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut batch = BitBatch::zeros(model.num_detectors);
-    let (mut streamed, mut reference) = (Vec::new(), Vec::new());
+    let mut reference = Vec::new();
     for index in 0..batches {
         sampler.sample_into(&mut rng, &mut batch);
         full.decode_batch(&batch, &mut reference);
-        windowed.decode_batch(&batch, &mut streamed);
+        // Feed the sampled history round by round, as it would arrive.
+        let mut session = windowed.session(batch.lanes());
+        for round in 0..model.total_rounds() {
+            let detectors: Vec<u32> = (0..model.num_detectors as u32)
+                .filter(|&d| model.detector_rounds[d as usize] == round)
+                .collect();
+            let words: Vec<u64> = detectors
+                .iter()
+                .map(|&d| batch.words()[d as usize])
+                .collect();
+            session.push_round(round, &detectors, &words);
+        }
+        let streamed = session.finish();
         assert_eq!(
             streamed, reference,
             "batch {index} diverged ({kind:?}, window {}, commit {})",
